@@ -75,7 +75,10 @@ def read_cloud_csv(path) -> PointCloud:
             raise ValidationError(f"{path}: expected header x0,...,f")
         has_labels = header[-1] == "f"
         d = len(header) - (1 if has_labels else 0)
-        rows = [list(map(float, row)) for row in reader if row]
+        try:
+            rows = [list(map(float, row)) for row in reader if row]
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     data = np.array(rows)
     if data.ndim != 2 or data.shape[1] != len(header):
         raise ValidationError(f"{path}: ragged rows")
@@ -104,9 +107,27 @@ def _write_values_csv(path, name, values) -> None:
 
 
 def _read_values_csv(path) -> np.ndarray:
+    """Read a one-column CSV of finite values after a header line."""
+    values = []
     with open(path) as fh:
-        next(fh)  # header
-        return np.array([float(line) for line in fh if line.strip()])
+        next(fh, None)  # header
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+    values = np.array(values)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{path}: values must be finite")
+    return values
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _solver_config(args, seed=None) -> SolverConfig:
@@ -205,7 +226,7 @@ def cmd_gamma(args) -> int:
         case = SmoothCase()
     else:
         case = StepCase()
-    n_list = [int(s) for s in args.n.split(",")]
+    n_list = _int_list(args.n, "--n")
     spec = _zeta_from_flags(args)
     rows = gamma_experiment(
         case, n_list, spec, p=args.p, q=args.q, seed=args.seed,
@@ -229,9 +250,10 @@ def cmd_gamma(args) -> int:
 
 def cmd_consistency(args) -> int:
     t0 = time.time()
+    n_list = _int_list(args.n, "--n")
+    k_list = _int_list(args.k, "--k")
     outputs = []
     if args.mode in ("binning", "both"):
-        n_list = [int(s) for s in args.n.split(",")]
         rows = density_deviation_curve(n_list, d=args.d, seed=args.seed)
         path = args.out + ".binning.csv"
         with open(path, "w", newline="") as fh:
@@ -247,7 +269,7 @@ def cmd_consistency(args) -> int:
     if args.mode in ("counterexample", "both"):
         path = args.out + ".counterexample.jsonl"
         with open(path, "w") as fh:
-            for k in [int(s) for s in args.k.split(",")]:
+            for k in k_list:
                 res = dyadic_counterexample(k, alpha=args.alpha, d=args.counter_d)
                 fh.write(
                     json.dumps({"k": res["k"], "d": res["d"], "l1": res["l1"],
@@ -345,11 +367,16 @@ def cmd_plot(args) -> int:
     edge_list = []
     if args.edges:
         with open(args.edges) as fh:
-            next(fh)
-            for line in fh:
+            next(fh, None)  # header
+            for lineno, line in enumerate(fh, start=2):
                 if line.strip():
-                    i, j = line.split(",")[:2]
-                    edge_list.append((int(i), int(j)))
+                    try:
+                        i, j = line.split(",")[:2]
+                        edge_list.append((int(i), int(j)))
+                    except ValueError:
+                        raise ValidationError(
+                            f"{args.edges}: line {lineno}: expected i,j,... got {line.strip()!r}"
+                        ) from None
     render_svg(cloud.points, values, edge_list, args.out)
     _write_manifest(
         args.out + ".manifest.json", "plot", args,

@@ -15,7 +15,7 @@ import numpy as np
 from .core import ValidationError, ZetaSpec, zeta_value
 from .graph import SparseGraph
 
-__all__ = ["EnergyBreakdown", "gms_energy", "objective_sec6", "objective_sec1"]
+__all__ = ["EnergyBreakdown", "pair_terms", "gms_energy", "objective_sec6", "objective_sec1"]
 
 
 class SingularityError(ValueError):
@@ -40,6 +40,27 @@ def _check_u(graph: SparseGraph, u) -> np.ndarray:
     return u
 
 
+def pair_terms(
+    u: np.ndarray, ii, jj, distances, weights, spec: ZetaSpec, eps: float, p: float, q: float
+) -> np.ndarray:
+    """Per-pair terms zeta(eps^{1-p+q} |u_i - u_j|^p / r^q) * w of the general energy.
+
+    Raises SingularityError when q > 0 and some pair has zero distance.
+    """
+    du = np.abs(u[ii] - u[jj])
+    arg = eps ** (1.0 - p + q) * du**p
+    if q > 0:
+        zero = distances == 0
+        if np.any(zero):
+            k = int(np.argmax(zero))
+            raise SingularityError(
+                f"pair ({ii[k]}, {jj[k]}) has zero distance; "
+                "the q > 0 energy is singular there"
+            )
+        arg = arg / distances**q
+    return zeta_value(spec, arg) * weights
+
+
 def gms_energy(
     graph: SparseGraph, u, spec: ZetaSpec, eps: float, p: float = 2.0, q: float = 0.0
 ) -> float:
@@ -49,18 +70,7 @@ def gms_energy(
         raise ValidationError("q must lie in [0, p)")
     if graph.n_edges == 0:
         return 0.0
-    du = np.abs(u[graph.ii] - u[graph.jj])
-    arg = eps ** (1.0 - p + q) * du**p
-    if q > 0:
-        zero = graph.distances == 0
-        if np.any(zero):
-            k = int(np.argmax(zero))
-            raise SingularityError(
-                f"edge ({graph.ii[k]}, {graph.jj[k]}) has zero distance; "
-                "the q > 0 energy is singular there"
-            )
-        arg = arg / graph.distances**q
-    terms = zeta_value(spec, arg) * graph.weights
+    terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, p, q)
     return 2.0 * math.fsum(terms.tolist()) / (eps * graph.n**2)
 
 

@@ -119,6 +119,49 @@ class TestEdgesValidation:
         assert run("edges", "--solution", short, "--graph", graph_out, "--jump", "0.1", "--out", tmp_path / "e.csv") == 2
 
 
+class TestMalformedInput:
+    """Malformed files and flags exit with code 2 and a message, not a traceback."""
+
+    def test_non_numeric_point_field(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,x1,f\n0.1,0.2,1.0\n0.3,oops,2.0\n")
+        assert run("denoise", "--input", bad, "--out", tmp_path / "u.csv") == 2
+        assert "line 3" in capsys.readouterr().err
+
+    def test_non_numeric_value(self, synth_files, tmp_path, capsys):
+        cloud_path, _ = synth_files
+        values = tmp_path / "v.csv"
+        values.write_text("u\n" + "0.5\n" * 399 + "abc\n")
+        assert run("plot", "--points", cloud_path, "--values", values, "--out", tmp_path / "p.svg") == 2
+        assert "line 401" in capsys.readouterr().err
+
+    def test_nan_solution_for_edges(self, synth_files, tmp_path):
+        cloud_path, _ = synth_files
+        out, graph_out = tmp_path / "u.csv", tmp_path / "g.txt"
+        assert run("denoise", "--input", cloud_path, "--out", out, "--graph-out", graph_out) == 0
+        nan = tmp_path / "nan.csv"
+        nan.write_text("u\n" + "nan\n" * 400)
+        code = run("edges", "--solution", nan, "--graph", graph_out, "--jump", "0.1", "--out", tmp_path / "e.csv")
+        assert code == 2
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_malformed_edge_list_for_plot(self, tmp_path):
+        pts = tmp_path / "p.csv"
+        write_cloud_csv(pts, PointCloud(points=[[0.0, 0.0], [1.0, 1.0]], labels=[0.0, 1.0]))
+        edges = tmp_path / "e.csv"
+        edges.write_text("i,j,jump\n0;1\n")
+        assert run("plot", "--points", pts, "--edges", edges, "--out", tmp_path / "p.svg") == 2
+
+    def test_malformed_gamma_n(self, tmp_path, capsys):
+        assert run("gamma", "--case", "step", "--n", "12x", "--out", tmp_path / "g.csv") == 2
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--k", "--n"])
+    def test_malformed_consistency_lists(self, tmp_path, flag):
+        assert run("consistency", flag, "3,x", "--out", tmp_path / "cons") == 2
+        assert not (tmp_path / "cons.binning.csv").exists()
+
+
 class TestGamma:
     def test_smoke(self, tmp_path, capsys):
         out = tmp_path / "gamma.csv"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gms.core import PointCloud, ValidationError, ZetaSpec
 from gms.continuum import (
@@ -21,8 +23,9 @@ from gms.continuum import (
     sphere_moment,
     sphere_moment_mc,
     theta_eta,
+    _cell_pairs,
 )
-from gms.energy import gms_energy
+from gms.energy import SingularityError, gms_energy
 from gms.graph import brute_force_graph
 
 from conftest import small_config
@@ -158,6 +161,105 @@ class TestSampledEnergy:
         g = brute_force_graph(PointCloud(points=pts), config)
         assert sampled_energy(pts, u, ms_spec, 0.15, p=3.0, q=1.0) == pytest.approx(
             gms_energy(g, u, ms_spec, 0.15, p=3.0, q=1.0), rel=1e-10
+        )
+
+    def test_zero_distance_singularity(self, rng, ms_spec):
+        pts = rng.random((20, 2))
+        pts[7] = pts[3]
+        u = rng.random(20)
+        with pytest.raises(SingularityError):
+            sampled_energy(pts, u, ms_spec, 0.2, p=2.0, q=1.0)
+        # q = 0 has no singularity at zero distance
+        assert math.isfinite(sampled_energy(pts, u, ms_spec, 0.2))
+
+    def test_nonpositive_radius_rejected(self, rng, ms_spec):
+        pts = rng.random((10, 2))
+        with pytest.raises(ValidationError):
+            sampled_energy(pts, rng.random(10), ms_spec, 0.0)
+
+    @pytest.mark.parametrize("m", [5, 20])
+    def test_values_length_mismatch_rejected(self, rng, ms_spec, m):
+        with pytest.raises(ValidationError):
+            sampled_energy(rng.random((10, 2)), rng.random(m), ms_spec, 0.2)
+
+
+def brute_pairs(points, radius):
+    """{(i, j): r} for i < j within radius, squared distances summed per coordinate."""
+    n, d = points.shape
+    d2 = np.zeros((n, n))
+    for k in range(d):
+        diff = points[:, None, k] - points[None, :, k]
+        d2 += diff * diff
+    ii, jj = np.nonzero(np.triu(d2 <= radius**2, 1))
+    return {(i, j): math.sqrt(d2[i, j]) for i, j in zip(ii.tolist(), jj.tolist())}
+
+
+def kernel_pairs(points, radius):
+    """{(i, j): r} from _cell_pairs; fails on a pair yielded twice."""
+    found = {}
+    for ia, ib, r in _cell_pairs(points, radius):
+        for i, j, rij in zip(ia.tolist(), ib.tolist(), r.tolist()):
+            key = (min(i, j), max(i, j))
+            assert key not in found, f"pair {key} yielded twice"
+            found[key] = rij
+    return found
+
+
+@st.composite
+def clouds(draw):
+    """Point clouds with a cutoff radius, including the kernel's edge cases."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, -7.5, 1e6]))
+    kind = draw(st.sampled_from(["uniform", "lattice", "duplicates", "flat_axis"]))
+    if kind == "lattice":
+        # integer multiples of the spacing, so many pairs sit at the radius
+        # (exactly for the binary spacings 1 and 0.25, up to rounding otherwise)
+        spacing = draw(st.sampled_from([1.0, 0.1, 0.25, 1.0 / 3.0]))
+        points = rng.integers(0, 8, size=(n, d)) * spacing
+        radius = spacing * draw(st.integers(1, 3))
+    else:
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        points = rng.random((n, d)) * scale
+        # up to 3 * scale, beyond the span sqrt(d) * scale of every d <= 3
+        radius = scale * draw(st.floats(0.01, 3.0))
+        if kind == "duplicates":
+            points = points[rng.integers(0, max(1, n // 3), size=n)]
+        elif kind == "flat_axis":
+            points[:, draw(st.integers(0, d - 1))] = 0.5 * scale
+    return points + offset, radius
+
+
+class TestCellPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(clouds())
+    def test_matches_brute_force(self, cloud):
+        points, radius = cloud
+        found = kernel_pairs(points, radius)
+        expected = brute_pairs(points, radius)
+        assert found.keys() == expected.keys()
+        # bit-equal: the same per-coordinate summation order
+        assert all(found[key] == expected[key] for key in expected)
+
+    def test_pair_at_radius_across_rounded_cell_boundary(self):
+        # The first point sets the cell origin.  With cells of side exactly
+        # radius/2 the rounded cell indices of the last two points are three
+        # apart although they are within the radius.
+        radius = 0.8160834831883376
+        points = np.array([[-56.519720635119356], [21.008210267772704], [21.82429375096104]])
+        assert (points[2, 0] - points[1, 0]) ** 2 <= radius**2
+        assert kernel_pairs(points, radius).keys() == {(1, 2)}
+
+    @pytest.mark.parametrize("d,separation", [(3, 1e6), (2, 1e9)])
+    def test_far_apart_clusters(self, rng, ms_spec, d, separation):
+        # cells are keyed by occupied coordinates, never by the bounding box
+        points = np.vstack([rng.random((60, d)), rng.random((60, d)) + separation])
+        assert kernel_pairs(points, 0.3).keys() == brute_pairs(points, 0.3).keys()
+        u = rng.random(120)
+        g = brute_force_graph(PointCloud(points=points), small_config(eps=0.1, k_max=120))
+        assert sampled_energy(points, u, ms_spec, 0.1) == pytest.approx(
+            gms_energy(g, u, ms_spec, 0.1), rel=1e-10
         )
 
 
