@@ -187,13 +187,12 @@ class SolverConfig:
 
 @dataclass
 class Solution:
-    """Result of an IRLS run: minimizer, per-iteration energies, and edge jumps."""
+    """Result of an IRLS run: minimizer, per-iteration energies and stop state."""
 
     u: np.ndarray
     energy_trace: list[dict] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-    edge_jumps: np.ndarray | None = None
 
 
 @dataclass

@@ -8,6 +8,7 @@ w_ij = eps^{-d} * exp(-r_ij^2 / (2 sigma^2 eps^2)).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ from .core import PointCloud, SolverConfig, ValidationError
 __all__ = ["SparseGraph", "build_geometric_graph", "brute_force_graph", "save_graph", "load_graph"]
 
 BRUTE_FORCE_GUARD = 5000
+
+# One row of the edge-list file: "i j weight distance".
+_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", float), ("r", float)])
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,14 @@ class SparseGraph:
 
     def validate(self) -> None:
         if np.any(self.ii >= self.jj):
-            raise ValidationError("edge list must satisfy i < j (no diagonal, no duplicates)")
+            raise ValidationError("edge list must satisfy i < j (no diagonal)")
+        di, dj = np.diff(self.ii), np.diff(self.jj)
+        if np.any((di < 0) | ((di == 0) & (dj <= 0))):
+            raise ValidationError("edge list must be sorted by (i, j) without duplicates")
+        if self.n_edges and (self.ii.min() < 0 or self.jj.max() >= self.n):
+            raise ValidationError(f"edge endpoints must be vertex indices in [0, {self.n})")
+        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.distances))):
+            raise ValidationError("weights and distances must be finite")
         if np.any(self.weights <= 0) or np.any(self.distances < 0):
             raise ValidationError("weights must be positive and distances nonnegative")
         expected = self.eps ** (-self.dim) * np.exp(
@@ -145,21 +156,36 @@ def save_graph(graph: SparseGraph, path) -> None:
 
 
 def load_graph(path) -> SparseGraph:
+    """Read the format written by :func:`save_graph`.
+
+    Raises ValidationError for a header that is not "n d eps sigma" with
+    integer n, d >= 1 and positive finite eps, sigma; for an edge row that is
+    not four fields "i j weight distance" with integer i, j; and for any edge
+    list that :meth:`SparseGraph.validate` rejects (i >= j, rows not sorted
+    by (i, j) or repeated, indices outside [0, n), non-finite or inconsistent
+    weights and distances).
+    """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 4:
-            raise ValidationError(f"malformed graph header in {path}")
-        n, dim = int(header[0]), int(header[1])
-        eps, sigma = float(header[2]), float(header[3])
-        rows = [line.split() for line in fh if line.strip()]
-    if rows:
-        ii = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        jj = np.array([int(r[1]) for r in rows], dtype=np.int64)
-        w = np.array([float(r[2]) for r in rows])
-        dist = np.array([float(r[3]) for r in rows])
-    else:
-        ii = jj = np.zeros(0, dtype=np.int64)
-        w = dist = np.zeros(0)
-    graph = SparseGraph(n=n, dim=dim, eps=eps, sigma=sigma, ii=ii, jj=jj, weights=w, distances=dist)
+        try:
+            if len(header) != 4:
+                raise ValueError
+            n, dim = int(header[0]), int(header[1])
+            eps, sigma = float(header[2]), float(header[3])
+        except ValueError:
+            raise ValidationError(f"{path}: malformed graph header, expected 'n d eps sigma'") from None
+        if n < 1 or dim < 1 or not (0 < eps < np.inf and 0 < sigma < np.inf):
+            raise ValidationError(f"{path}: graph header needs n, d >= 1 and positive finite eps, sigma")
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is a valid graph without edges.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, dtype=_EDGE_ROW, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: malformed edge row: {exc}") from None
+    graph = SparseGraph(
+        n=n, dim=dim, eps=eps, sigma=sigma,
+        ii=rows["i"], jj=rows["j"], weights=rows["w"], distances=rows["r"],
+    )
     graph.validate()
     return graph

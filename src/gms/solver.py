@@ -2,7 +2,9 @@
 
 Alternates the closed-form edge-weight update z_ij = zeta'(|u_i - u_j|^2 / eps)
 with a conjugate-gradient solve of (I + (2/(lam eps^2 n)) L_zw) u = f, where
-L_zw is the graph Laplacian with edge weights z_ij * w_ij.
+L_zw is the graph Laplacian with edge weights z_ij * w_ij.  CG starts with a
+Jacobi preconditioner; a system it does not solve within CG_BUDGET iterations
+is factored once and CG continues with the factor as preconditioner.
 """
 
 from __future__ import annotations
@@ -16,6 +18,13 @@ from .energy import objective_sec6
 from .graph import SparseGraph
 
 __all__ = ["update_z", "solve_u", "irls_minimize", "detect_edges", "system_matrix", "SolverError"]
+
+# Jacobi-CG iterations tried before the system is factored.  At n=10k one
+# MMD_AT_PLUS_A factorization costs about 37 ms and one CG iteration about
+# 0.28 ms, so the budget is the ~130 iterations a factor costs plus slack:
+# the ms systems (41-68 iterations) never reach it and the tv systems
+# (176-704) pass it.
+CG_BUDGET = 150
 
 
 class SolverError(RuntimeError):
@@ -60,30 +69,53 @@ def solve_u(
     cg_max_iter: int = 0,
     x0=None,
     stats: dict | None = None,
+    factor: bool = False,
 ) -> np.ndarray:
-    """CG solve of (I + (2/(lam eps^2 n)) L_zw) u = f with Jacobi preconditioning.
+    """CG solve of (I + (2/(lam eps^2 n)) L_zw) u = f.
 
-    When ``stats`` is given, the number of CG iterations is stored under
-    ``stats["cg_iters"]``.
+    CG first runs with a Jacobi preconditioner for up to CG_BUDGET
+    iterations.  If that does not reach ``cg_tol``, or if ``factor`` is set,
+    A is factored by sparse LU and CG continues from the current iterate with
+    the factor as preconditioner.  ``cg_max_iter`` (0 means 10 n) caps the
+    iterations of both phases together.
+
+    When ``stats`` is given, the CG iterations of both phases are stored under
+    ``stats["cg_iters"]`` and whether A was factored under ``stats["factored"]``.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (graph.n,):
         raise ValidationError(f"f must have length {graph.n}")
     if stats is not None:
         stats["cg_iters"] = 0
+        stats["factored"] = False
     if graph.n_edges == 0 or not np.any(np.asarray(z)):
         return f.copy()
     A = system_matrix(graph, z, lam, eps)
-    M = sp.diags(1.0 / A.diagonal())
     maxiter = cg_max_iter if cg_max_iter > 0 else 10 * graph.n
     count = [0]
 
     def _tick(_):
         count[0] += 1
 
-    u, info = spla.cg(A, f, x0=x0, rtol=cg_tol, atol=0.0, maxiter=maxiter, M=M, callback=_tick)
+    u = x0
+    if not factor:
+        M = sp.diags(1.0 / A.diagonal())
+        u, info = spla.cg(
+            A, f, x0=u, rtol=cg_tol, atol=0.0, maxiter=min(CG_BUDGET, maxiter), M=M, callback=_tick
+        )
+        # Once the cap is used up there is nothing left to spend on a factor.
+        factor = info != 0 and count[0] < maxiter
+    if factor:
+        lu = spla.splu(
+            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+        M = spla.LinearOperator(A.shape, matvec=lu.solve)
+        u, info = spla.cg(
+            A, f, x0=u, rtol=cg_tol, atol=0.0, maxiter=maxiter - count[0], M=M, callback=_tick
+        )
     if stats is not None:
         stats["cg_iters"] = count[0]
+        stats["factored"] = factor
     residual = np.linalg.norm(A @ u - f) / np.linalg.norm(f)
     if info != 0 or residual > cg_tol * 10:
         raise SolverError(
@@ -110,14 +142,19 @@ def irls_minimize(graph: SparseGraph, f, spec: ZetaSpec, config: SolverConfig) -
     )
     prev_total = e0.total
     converged = False
+    # The systems of a run grow stiffer as z sharpens (tv at n=10k: 176 Jacobi
+    # CG iterations for the first, 580-704 from the fifth on), so once one has
+    # needed the factor, the later ones are factored without trying CG first.
+    factor = False
     it = 0
     for it in range(1, config.irls_max_iter + 1):
         z = update_z(graph, u, spec, config.eps)
         stats: dict = {}
         u = solve_u(
             graph, f, z, config.lam, config.eps,
-            cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, x0=u, stats=stats,
+            cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, x0=u, stats=stats, factor=factor,
         )
+        factor = factor or stats["factored"]
         if not np.all(np.isfinite(u)):
             raise SolverError(f"non-finite iterate at IRLS iteration {it}")
         e = objective_sec6(graph, u, f, spec, config.lam, config.eps)
@@ -134,8 +171,7 @@ def irls_minimize(graph: SparseGraph, f, spec: ZetaSpec, config: SolverConfig) -
             prev_total = e.total
             break
         prev_total = e.total
-    jumps = np.abs(u[graph.ii] - u[graph.jj]) if graph.n_edges else np.zeros(0)
-    return Solution(u=u, energy_trace=trace, iterations=it, converged=converged, edge_jumps=jumps)
+    return Solution(u=u, energy_trace=trace, iterations=it, converged=converged)
 
 
 def detect_edges(graph: SparseGraph, u, jump_threshold: float) -> list[tuple[int, int]]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gms.cli import main, read_cloud_csv, render_svg, write_cloud_csv
-from gms.core import PointCloud
+from gms.core import PointCloud, SolverConfig
 
 
 def run(*argv):
@@ -160,6 +160,68 @@ class TestMalformedInput:
     def test_malformed_consistency_lists(self, tmp_path, flag):
         assert run("consistency", flag, "3,x", "--out", tmp_path / "cons") == 2
         assert not (tmp_path / "cons.binning.csv").exists()
+
+
+class TestMalformedGraph:
+    """``gms edges`` rejects a malformed graph file with exit code 2."""
+
+    @pytest.fixture
+    def edge_inputs(self, tmp_path):
+        from gms.graph import build_geometric_graph, save_graph
+
+        cloud = PointCloud(points=np.random.default_rng(4).random((60, 2)))
+        graph_path = tmp_path / "g.txt"
+        save_graph(build_geometric_graph(cloud, SolverConfig(lam=1.0, eps=0.3)), graph_path)
+        solution = tmp_path / "u.csv"
+        solution.write_text("u\n" + "".join(f"{v}\n" for v in np.linspace(0.0, 1.0, 60)))
+        return graph_path, solution
+
+    @staticmethod
+    def edges_exit(graph_path, solution, tmp_path):
+        out = tmp_path / "e.csv"
+        code = run("edges", "--solution", solution, "--graph", graph_path, "--jump", "0.1", "--out", out)
+        if code != 0:
+            assert not out.exists()
+        return code
+
+    @staticmethod
+    def edit_row(graph_path, row, edit):
+        lines = graph_path.read_text().splitlines()
+        fields = lines[row].split()
+        lines[row] = " ".join(edit(fields))
+        graph_path.write_text("\n".join(lines) + "\n")
+
+    def test_valid_file_passes(self, edge_inputs, tmp_path):
+        assert self.edges_exit(*edge_inputs, tmp_path) == 0
+
+    def test_non_finite_weight_and_distance(self, edge_inputs, tmp_path):
+        self.edit_row(edge_inputs[0], 2, lambda f: f[:2] + ["nan", "nan"])
+        assert self.edges_exit(*edge_inputs, tmp_path) == 2
+
+    @pytest.mark.parametrize(
+        "row, edit",
+        [(1, lambda f: ["-1"] + f[1:]), (-1, lambda f: f[:1] + ["60"] + f[2:])],
+        ids=["first_i_negative", "last_j_past_n"],
+    )
+    def test_vertex_index_out_of_range(self, edge_inputs, tmp_path, capsys, row, edit):
+        # editing the first row's i or the last row's j keeps the rows sorted
+        self.edit_row(edge_inputs[0], row, edit)
+        assert self.edges_exit(*edge_inputs, tmp_path) == 2
+        assert "[0, 60)" in capsys.readouterr().err
+
+    def test_non_integer_header(self, edge_inputs, tmp_path):
+        self.edit_row(edge_inputs[0], 0, lambda f: ["60.5"] + f[1:])
+        assert self.edges_exit(*edge_inputs, tmp_path) == 2
+
+    def test_repeated_edge(self, edge_inputs, tmp_path):
+        lines = edge_inputs[0].read_text().splitlines()
+        edge_inputs[0].write_text("\n".join(lines[:2] + lines[1:]) + "\n")
+        assert self.edges_exit(*edge_inputs, tmp_path) == 2
+
+    @pytest.mark.parametrize("n_fields", [3, 5])
+    def test_row_field_count(self, edge_inputs, tmp_path, n_fields):
+        self.edit_row(edge_inputs[0], 3, lambda f: (f + ["0.5"])[:n_fields])
+        assert self.edges_exit(*edge_inputs, tmp_path) == 2
 
 
 class TestGamma:

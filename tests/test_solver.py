@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gms.core import PointCloud, SolverConfig, ValidationError, ZetaSpec
+from gms.datasets import generate_synthetic
 from gms.energy import objective_sec6
 from gms.graph import brute_force_graph, build_geometric_graph
 from gms.solver import (
+    CG_BUDGET,
     SolverError,
     detect_edges,
     irls_minimize,
@@ -116,6 +119,60 @@ class TestSolveU:
         stats = {}
         solve_u(g, rng.random(n), np.ones(g.n_edges), 2.0, 0.3, stats=stats)
         assert stats["cg_iters"] >= 1
+
+
+def stiff_tv_case():
+    """tv denoising case whose Jacobi CG outruns CG_BUDGET from the second solve on."""
+    case = generate_synthetic(1000, seed=0)
+    config = SolverConfig(lam=50.0, eps=0.07, sigma=5.0, k_max=8, irls_tol=1e-5)
+    graph = build_geometric_graph(case.cloud, config)
+    return graph, case.cloud.labels, ZetaSpec("tv_smoothed", delta=0.001), config
+
+
+class TestFactoredSolve:
+    @pytest.fixture
+    def stiff_system(self):
+        graph, f, spec, config = stiff_tv_case()
+        z = update_z(graph, f, spec, config.eps)
+        return graph, f, z, 5.0, config.eps
+
+    def test_matches_direct_solve(self, stiff_system):
+        graph, f, z, lam, eps = stiff_system
+        stats = {}
+        u = solve_u(graph, f, z, lam, eps, cg_tol=1e-10, stats=stats)
+        assert stats["factored"]
+        direct = spla.spsolve(system_matrix(graph, z, lam, eps).tocsc(), f)
+        assert np.linalg.norm(u - direct) <= 1e-10 * np.linalg.norm(direct)
+
+    def test_cg_iters_count_both_phases(self, stiff_system):
+        graph, f, z, lam, eps = stiff_system
+        stats = {}
+        solve_u(graph, f, z, lam, eps, stats=stats)
+        assert stats["factored"] and stats["cg_iters"] > CG_BUDGET
+        factored_only = {}
+        solve_u(graph, f, z, lam, eps, stats=factored_only, factor=True)
+        assert factored_only["factored"] and 1 <= factored_only["cg_iters"] <= 3
+
+    def test_cap_covers_both_phases(self, stiff_system):
+        graph, f, z, lam, eps = stiff_system
+        # The budget uses up the cap: no factorization, the solve fails.
+        stats = {}
+        with pytest.raises(SolverError):
+            solve_u(graph, f, z, lam, eps, cg_max_iter=CG_BUDGET, stats=stats)
+        assert stats == {"cg_iters": CG_BUDGET, "factored": False}
+        solve_u(graph, f, z, lam, eps, cg_max_iter=CG_BUDGET + 3, stats=stats)
+        assert stats["factored"] and stats["cg_iters"] <= CG_BUDGET + 3
+
+    def test_irls_reruns_bit_identical(self):
+        graph, f, spec, config = stiff_tv_case()
+        a = irls_minimize(graph, f, spec, config)
+        b = irls_minimize(graph, f, spec, config)
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.energy_trace == b.energy_trace
+        # the run did switch to the factor, and kept it once it had needed it
+        iters = [entry["cg_iters"] for entry in a.energy_trace[1:]]
+        first = next(k for k, c in enumerate(iters) if c > CG_BUDGET)
+        assert all(c <= 3 for c in iters[first + 1 :])
 
 
 class TestIrls:
