@@ -46,12 +46,21 @@ def _zeta_from_flags(args) -> ZetaSpec:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    return int(os.environ.get("GMS_THREADS", "1"))
+    """Graph-build workers: ``--threads`` if given, else ``GMS_THREADS``, else 1."""
+    if args.threads:
+        value, source = args.threads, "--threads"
+    else:
+        value, source = os.environ.get("GMS_THREADS", "1"), "GMS_THREADS"
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValidationError(f"{source} must be a positive integer, got {value!r}")
+    return threads
 
 
-def _write_manifest(path, command, args, inputs, outputs, seed, duration):
+def _write_manifest(path, command, args, inputs, outputs, seed, duration, graph=None):
     manifest = {
         "command": command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
@@ -61,6 +70,8 @@ def _write_manifest(path, command, args, inputs, outputs, seed, duration):
         "duration_s": duration,
         "version": __version__,
     }
+    if graph is not None:
+        manifest["graph"] = graph
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -146,12 +157,14 @@ def _solver_config(args, seed=None) -> SolverConfig:
 
 def cmd_denoise(args) -> int:
     t0 = time.time()
+    workers = _threads(args)
     cloud = read_cloud_csv(args.input)
     if cloud.labels is None:
         raise ValidationError("--input must carry labels (an 'f' column)")
     spec = _zeta_from_flags(args)
     config = _solver_config(args)
-    graph = build_geometric_graph(cloud, config, workers=_threads(args))
+    graph_stats: dict = {}
+    graph = build_geometric_graph(cloud, config, workers=workers, stats=graph_stats)
     solution = irls_minimize(graph, cloud.labels, spec, config)
     _write_values_csv(args.out, "u", solution.u)
     outputs = [args.out]
@@ -176,7 +189,7 @@ def cmd_denoise(args) -> int:
     )
     _write_manifest(
         args.out + ".manifest.json", "denoise", args, [args.input], outputs,
-        args.seed, time.time() - t0,
+        args.seed, time.time() - t0, graph=graph_stats,
     )
     print(
         f"denoise: n={cloud.n} edges={graph.n_edges} iterations={solution.iterations} "
@@ -287,18 +300,20 @@ def cmd_consistency(args) -> int:
 
 def cmd_housing(args) -> int:
     t0 = time.time()
+    workers = _threads(args)
     cloud = ingest_housing(args.input, args.max_longitude, normalize=not args.raw_labels)
     print(f"housing: {cloud.n} records ingested")
     spec = _zeta_from_flags(args)
     config = _solver_config(args)
-    graph = build_geometric_graph(cloud, config, workers=_threads(args))
+    graph_stats: dict = {}
+    graph = build_geometric_graph(cloud, config, workers=workers, stats=graph_stats)
     solution = irls_minimize(graph, cloud.labels, spec, config)
     _write_values_csv(args.out, "u", solution.u)
     points_path = args.out + ".points.csv"
     write_cloud_csv(points_path, cloud)
     _write_manifest(
         args.out + ".manifest.json", "housing", args, [args.input],
-        [args.out, points_path], args.seed, time.time() - t0,
+        [args.out, points_path], args.seed, time.time() - t0, graph=graph_stats,
     )
     print(
         f"housing: edges={graph.n_edges} iterations={solution.iterations} "

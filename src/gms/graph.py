@@ -20,6 +20,9 @@ __all__ = ["SparseGraph", "build_geometric_graph", "brute_force_graph", "save_gr
 
 BRUTE_FORCE_GUARD = 5000
 
+# Edge rows that save_graph formats and writes at a time.
+_SAVE_BLOCK = 4096
+
 # One row of the edge-list file: "i j weight distance".
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", float), ("r", float)])
 
@@ -47,10 +50,7 @@ class SparseGraph:
         return len(self.ii)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        np.add.at(deg, self.ii, 1)
-        np.add.at(deg, self.jj, 1)
-        return deg
+        return np.bincount(self.ii, minlength=self.n) + np.bincount(self.jj, minlength=self.n)
 
     def validate(self) -> None:
         if np.any(self.ii >= self.jj):
@@ -75,14 +75,9 @@ def _edge_weight(r: np.ndarray, dim: int, eps: float, sigma: float) -> np.ndarra
     return eps ** (-dim) * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * sigma**2 * eps**2))
 
 
-def _finalize(cloud: PointCloud, config: SolverConfig, kept: set[tuple[int, int]]) -> SparseGraph:
-    if kept:
-        edges = np.array(sorted(kept), dtype=np.int64)
-        ii, jj = edges[:, 0], edges[:, 1]
-        r = np.linalg.norm(cloud.points[ii] - cloud.points[jj], axis=1)
-    else:
-        ii = jj = np.zeros(0, dtype=np.int64)
-        r = np.zeros(0)
+def _finalize(cloud: PointCloud, config: SolverConfig, ii: np.ndarray, jj: np.ndarray) -> SparseGraph:
+    """Graph on the edges (ii, jj), given sorted by (i, j) with i < j."""
+    r = np.linalg.norm(cloud.points[ii] - cloud.points[jj], axis=1)
     return SparseGraph(
         n=cloud.n,
         dim=cloud.dim,
@@ -103,32 +98,77 @@ def _cap_neighbors(dist: np.ndarray, idx: np.ndarray, k_max: int) -> np.ndarray:
     return idx[order[:k_max]]
 
 
-def build_geometric_graph(cloud: PointCloud, config: SolverConfig, workers: int = 1) -> SparseGraph:
-    """KD-tree construction: radius candidates, per-vertex k_max cap, union symmetrization."""
+def _kept_pairs(points: np.ndarray, k_max: int, radius: float, workers: int):
+    """The neighbors each vertex keeps under the k_max cap.
+
+    Returns arrays (i, j), one entry per neighbor j kept by vertex i, the
+    number of vertices with more than k_max candidates and the number that
+    took the index tie-break fallback.  Being a function of its own, its
+    query window and tree are freed before the symmetrization allocates.
+    """
+    n = len(points)
+    if n == 1:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 0
+    tree = cKDTree(points)
+    # Ask for a few extra neighbors so distance ties at the cap boundary
+    # can be broken by index exactly as the brute-force oracle does.
+    # cKDTree keeps only neighbors strictly inside its bound, so the bound
+    # sits just above the radius and `<= radius` decides, as in the oracle.
+    slack = 8
+    bound = radius * (1.0 + 1e-9)
+    k_query = min(n, k_max + 1 + slack)
+    dists, idxs = tree.query(points, k=k_query, distance_upper_bound=bound, workers=workers)
+    valid = (dists <= radius) & (idxs != np.arange(n)[:, None])
+    # Compact each row's candidates to the front, keeping the distance order.
+    order = np.argsort(~valid, axis=1, kind="stable")
+    dists = np.take_along_axis(dists, order, axis=1)
+    idxs = np.take_along_axis(idxs, order, axis=1)
+    count = valid.sum(axis=1)
+    over = count > k_max
+    capped = int(np.count_nonzero(over))
+    tie_rows = np.zeros(0, dtype=np.int64)
+    if capped:
+        # A distance tie at the cap (the sorted window ensures any tie
+        # reaching past its end also shows up here) needs the full
+        # candidate list so index tie-breaking matches the oracle.
+        over &= dists[:, k_max] == dists[:, k_max - 1]
+        tie_rows = np.flatnonzero(over)
+    keep = np.arange(k_query) < np.minimum(count, k_max)[:, None]
+    keep[tie_rows] = False
+    src, dst = [np.nonzero(keep)[0]], [idxs[keep]]
+    for i in tie_rows.tolist():
+        cand = np.array(tree.query_ball_point(points[i], bound), dtype=np.int64)
+        d_i = np.linalg.norm(points[cand] - points[i], axis=1)
+        near = (d_i <= radius) & (cand != i)
+        kept = _cap_neighbors(d_i[near], cand[near], k_max)
+        src.append(np.full(len(kept), i, dtype=np.int64))
+        dst.append(kept)
+    return np.concatenate(src), np.concatenate(dst), capped, len(tie_rows)
+
+
+def build_geometric_graph(
+    cloud: PointCloud, config: SolverConfig, workers: int = 1, stats: dict | None = None
+) -> SparseGraph:
+    """KD-tree construction: radius candidates, per-vertex k_max cap, union symmetrization.
+
+    When ``stats`` is given, it receives the vertices with more than k_max
+    candidates (``capped_vertices``), the rows that needed the index
+    tie-break fallback (``tie_fallbacks``), the edges of length zero
+    (``zero_distance_edges``) and the degree histogram (``degree_histogram``,
+    entry k counting the vertices of degree k).
+    """
     n = cloud.n
     radius = config.cutoff_multiplier * config.sigma * config.eps
-    if n == 1:
-        return _finalize(cloud, config, set())
-    tree = cKDTree(cloud.points)
-    # Ask for a few extra neighbors so distance ties at the cap boundary can be
-    # broken by index exactly as the brute-force oracle does.
-    slack = 8
-    kept: set[tuple[int, int]] = set()
-    k_query = min(n, config.k_max + 1 + slack)
-    dists, idxs = tree.query(cloud.points, k=k_query, distance_upper_bound=radius, workers=workers)
-    for i in range(n):
-        d_i, n_i = dists[i], idxs[i]
-        valid = np.isfinite(d_i) & (n_i != i)
-        d_i, n_i = d_i[valid], n_i[valid]
-        if len(n_i) > config.k_max and np.any(d_i[config.k_max :] == d_i[config.k_max - 1]):
-            # Distance tie at the cap boundary (the sorted window ensures any
-            # tie reaching past its end also shows up here): fall back to the
-            # full candidate list so index tie-breaking matches the oracle.
-            n_i = np.array([j for j in tree.query_ball_point(cloud.points[i], radius) if j != i])
-            d_i = np.linalg.norm(cloud.points[n_i] - cloud.points[i], axis=1)
-        for j in _cap_neighbors(d_i, n_i, config.k_max):
-            kept.add((min(i, int(j)), max(i, int(j))))
-    return _finalize(cloud, config, kept)
+    src, dst, capped, ties = _kept_pairs(cloud.points, config.k_max, radius, workers)
+    # Union symmetrization: one key per unordered pair, sorted by (i, j).
+    keys = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+    graph = _finalize(cloud, config, keys // n, keys % n)
+    if stats is not None:
+        stats["capped_vertices"] = capped
+        stats["tie_fallbacks"] = ties
+        stats["zero_distance_edges"] = int(np.count_nonzero(graph.distances == 0))
+        stats["degree_histogram"] = np.bincount(graph.degrees()).tolist()
+    return graph
 
 
 def brute_force_graph(cloud: PointCloud, config: SolverConfig) -> SparseGraph:
@@ -144,15 +184,23 @@ def brute_force_graph(cloud: PointCloud, config: SolverConfig) -> SparseGraph:
         cand = np.array([j for j in range(n) if j != i and dist[i, j] <= radius], dtype=np.int64)
         for j in _cap_neighbors(dist[i, cand], cand, config.k_max):
             kept.add((min(i, int(j)), max(i, int(j))))
-    return _finalize(cloud, config, kept)
+    edges = np.array(sorted(kept), dtype=np.int64).reshape(-1, 2)
+    return _finalize(cloud, config, edges[:, 0], edges[:, 1])
 
 
 def save_graph(graph: SparseGraph, path) -> None:
     """Write the edge-list text format: header "n d eps sigma", then "i j weight distance"."""
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {graph.dim} {graph.eps:.17g} {graph.sigma:.17g}\n")
-        for i, j, w, r in zip(graph.ii, graph.jj, graph.weights, graph.distances):
-            fh.write(f"{i} {j} {w:.17g} {r:.17g}\n")
+        # Rows are formatted from Python scalars one block at a time: whole-array
+        # tolist() or one joined file would hold every row in memory at once.
+        for s in range(0, graph.n_edges, _SAVE_BLOCK):
+            block = slice(s, s + _SAVE_BLOCK)
+            rows = zip(
+                graph.ii[block].tolist(), graph.jj[block].tolist(),
+                graph.weights[block].tolist(), graph.distances[block].tolist(),
+            )
+            fh.write("".join(f"{i} {j} {w:.17g} {r:.17g}\n" for i, j, w, r in rows))
 
 
 def load_graph(path) -> SparseGraph:

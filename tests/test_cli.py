@@ -6,6 +6,7 @@ import pytest
 
 from gms.cli import main, read_cloud_csv, render_svg, write_cloud_csv
 from gms.core import PointCloud, SolverConfig
+from gms.graph import load_graph
 
 
 def run(*argv):
@@ -107,6 +108,44 @@ class TestDenoise:
             "--lambda", "50", "--cg-tol", "1e-300",
         )
         assert code == 3
+
+
+class TestGraphManifest:
+    def test_denoise_manifest_records_graph_stats(self, synth_files, tmp_path):
+        cloud_path, _ = synth_files
+        out, graph_out = tmp_path / "u.csv", tmp_path / "g.txt"
+        assert run("denoise", "--input", cloud_path, "--out", out, "--graph-out", graph_out) == 0
+        stats = json.loads((tmp_path / "u.csv.manifest.json").read_text())["graph"]
+        graph = load_graph(graph_out)
+        assert set(stats) == {"capped_vertices", "tie_fallbacks", "zero_distance_edges", "degree_histogram"}
+        hist = stats["degree_histogram"]
+        assert sum(hist) == graph.n
+        assert sum(k * count for k, count in enumerate(hist)) == 2 * graph.n_edges
+        # radius 0.3 on 400 uniform points: every vertex has more than k=8 candidates
+        assert stats["capped_vertices"] == graph.n
+        assert stats["tie_fallbacks"] == 0 and stats["zero_distance_edges"] == 0
+
+
+class TestThreadCount:
+    """A malformed ``--threads`` or ``GMS_THREADS`` exits with code 2 before any work."""
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_malformed_env(self, synth_files, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("GMS_THREADS", value)
+        out = tmp_path / "u.csv"
+        assert run("denoise", "--input", synth_files[0], "--out", out) == 2
+        assert "GMS_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_flag(self, synth_files, tmp_path, capsys):
+        out = tmp_path / "u.csv"
+        assert run("denoise", "--input", synth_files[0], "--out", out, "--threads", "-3") == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_overrides_env(self, synth_files, tmp_path, monkeypatch):
+        monkeypatch.setenv("GMS_THREADS", "abc")
+        assert run("denoise", "--input", synth_files[0], "--out", tmp_path / "u.csv", "--threads", "2") == 0
 
 
 class TestEdgesValidation:
@@ -277,6 +316,19 @@ class TestHousing:
         manifest = json.loads((tmp_path / "u.csv.manifest.json").read_text())
         cfg = manifest["config"]
         assert cfg["eps"] == 0.04 and cfg["lam"] == 14.0 and cfg["k"] == 15
+
+    def test_manifest_records_graph_stats(self, tmp_path):
+        csv_path = tmp_path / "houses.csv"
+        csv_path.write_text(
+            "id,long,lat,price,sqft_living\n"
+            "1,-122.3,47.6,500000,2000\n2,-122.3,47.6,400000,1500\n3,-122.31,47.61,450000,1800\n"
+        )
+        out = tmp_path / "u.csv"
+        assert run("housing", "--input", csv_path, "--out", out) == 0
+        stats = json.loads((tmp_path / "u.csv.manifest.json").read_text())["graph"]
+        # records 1 and 2 share a location
+        assert stats["zero_distance_edges"] == 1
+        assert sum(stats["degree_histogram"]) == 3
 
 
 class TestPlot:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gms import graph as graph_module
 from gms.core import PointCloud, ValidationError
 from gms.graph import (
     SparseGraph,
@@ -21,6 +24,40 @@ def assert_graphs_equal(a, b):
     assert edge_set(a) == edge_set(b)
     assert np.allclose(a.weights, b.weights, rtol=1e-12)
     assert np.allclose(a.distances, b.distances, rtol=1e-12)
+
+
+def assert_graphs_identical(a, b):
+    for name in ("ii", "jj", "weights", "distances"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@st.composite
+def builder_cases(draw):
+    """Clouds and configs covering the builder's cap, tie and radius edge cases."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "lattice", "duplicates"]))
+    if kind == "lattice":
+        # multiples of a binary spacing: distances are exact, so ties at the
+        # cap are exact and radius sqrt(m) * spacing puts pairs exactly on it
+        spacing = 0.25
+        points = rng.integers(0, draw(st.integers(1, 6)), size=(n, d)) * spacing
+        radius = draw(st.sampled_from([0.5 * spacing, spacing * np.sqrt(draw(st.integers(1, 12)))]))
+    else:
+        points = rng.random((n, d))
+        if kind == "duplicates":
+            points = points[rng.integers(0, max(1, n // 3), size=n)]
+        radius = draw(st.floats(0.01, 2.0))
+        if draw(st.booleans()):
+            # below every nonzero spacing: only coincident points are joined
+            gaps = np.linalg.norm(points[:, None] - points[None, :], axis=2)
+            if np.any(gaps > 0):
+                radius = 0.5 * gaps[gaps > 0].min()
+    k_max = draw(st.sampled_from([1, 2, 3, 8, max(1, n - 1), n, n + 1]))
+    # cutoff 1 and sigma 1 make the radius exactly eps
+    config = small_config(eps=float(radius), sigma=1.0, cutoff_multiplier=1.0, k_max=k_max)
+    return PointCloud(points=points), config
 
 
 class TestExamples:
@@ -74,6 +111,38 @@ class TestInvariants:
         cloud = PointCloud(points=pts)
         config = small_config(eps=0.2, k_max=3)
         assert_graphs_equal(build_geometric_graph(cloud, config), brute_force_graph(cloud, config))
+
+    @settings(max_examples=200, deadline=None)
+    @given(builder_cases())
+    def test_identical_to_brute_force(self, case):
+        cloud, config = case
+        assert_graphs_identical(build_geometric_graph(cloud, config), brute_force_graph(cloud, config))
+
+    def test_pairs_at_exactly_the_radius_are_kept(self):
+        pts = np.array([[0.0], [1.0], [2.0], [3.5]])
+        g = build_geometric_graph(PointCloud(points=pts), small_config(eps=1.0, cutoff_multiplier=1.0))
+        assert edge_set(g) == {(0, 1), (1, 2)}
+
+    def test_copies_take_the_tie_fallback(self, rng):
+        # the cloud of test_clustered_points_with_ties: every vertex has four
+        # copies at distance 0 and keeps three, a tie at the cap on every row
+        cloud = PointCloud(points=np.repeat(rng.random((10, 2)), 5, axis=0))
+        config = small_config(eps=0.2, k_max=3)
+        stats = {}
+        g = build_geometric_graph(cloud, config, stats=stats)
+        assert stats["capped_vertices"] == 50 and stats["tie_fallbacks"] == 50
+        # each cluster of 5 loses the pair of its two largest indices
+        assert stats["zero_distance_edges"] == 10 * 9
+        assert sum(stats["degree_histogram"]) == 50
+        assert_graphs_identical(g, brute_force_graph(cloud, config))
+
+    def test_stats_without_ties(self, rng):
+        cloud = random_cloud(rng, 300)
+        stats = {}
+        g = build_geometric_graph(cloud, small_config(eps=0.02, k_max=4), stats=stats)
+        assert stats["tie_fallbacks"] == 0 and stats["zero_distance_edges"] == 0
+        assert 0 < stats["capped_vertices"] < 300
+        assert stats["degree_histogram"] == np.bincount(g.degrees()).tolist()
 
     def test_cap_semantics(self, rng):
         # Every edge must be kept by at least one endpoint, and no vertex may
@@ -144,6 +213,26 @@ class TestSaveLoad:
         assert loaded.n == g.n and loaded.dim == g.dim
         assert loaded.eps == g.eps and loaded.sigma == g.sigma
         assert_graphs_equal(loaded, g)
+
+    def test_golden_text(self, tmp_path):
+        cloud = PointCloud(points=[[0.0, 0.0], [0.1, 0.0], [0.0, 0.2]])
+        path = tmp_path / "g3.txt"
+        save_graph(build_geometric_graph(cloud, small_config(eps=0.1)), path)
+        assert path.read_text() == (
+            "3 2 0.10000000000000001 1\n"
+            "0 1 60.653065971263331 0.10000000000000001\n"
+            "0 2 13.533528323661269 0.20000000000000001\n"
+            "1 2 8.2084998623898784 0.22360679774997899\n"
+        )
+
+    def test_byte_roundtrip_across_write_blocks(self, rng, tmp_path):
+        g = build_geometric_graph(random_cloud(rng, 2000), small_config(eps=0.1))
+        assert g.n_edges > 2 * graph_module._SAVE_BLOCK
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_graph(g, first)
+        save_graph(load_graph(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        assert len(first.read_text().splitlines()) == g.n_edges + 1
 
     def test_roundtrip_empty(self, tmp_path):
         g = build_geometric_graph(PointCloud(points=[[0.0, 0.0]]), small_config())
