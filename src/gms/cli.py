@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -60,7 +61,7 @@ def _threads(args) -> int:
     return threads
 
 
-def _write_manifest(path, command, args, inputs, outputs, seed, duration, graph=None):
+def _write_manifest(path, command, args, inputs, outputs, seed, duration, graph=None, solver=None):
     manifest = {
         "command": command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
@@ -72,27 +73,54 @@ def _write_manifest(path, command, args, inputs, outputs, seed, duration, graph=
     }
     if graph is not None:
         manifest["graph"] = graph
+    if solver is not None:
+        manifest["solver"] = solver
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
 
+def _read_rows(path, columns: int) -> np.ndarray:
+    """The rows after the header line of a CSV as an (m, columns) float array.
+
+    Blank lines are skipped.  ``np.loadtxt`` reads a well-formed file; any
+    other is read line by line, and the first line that is not ``columns``
+    numbers is named in the error.
+    """
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # header-only file
+        fh.readline()
+        try:
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is not None and (data.shape[1] == columns or data.size == 0):
+        return data.reshape(-1, columns)
+    rows = []
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\r\n").split(",")
+            try:
+                rows.append([float(field) for field in fields])
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+            if len(fields) != columns:
+                raise ValidationError(f"{path}: line {lineno}: {len(fields)} fields, expected {columns}")
+    return np.array(rows).reshape(-1, columns)
+
+
 def read_cloud_csv(path) -> PointCloud:
     """Read a point/label CSV with header x0,...,x{d-1}[,f]."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or not header[0].startswith("x0"):
-            raise ValidationError(f"{path}: expected header x0,...,f")
-        has_labels = header[-1] == "f"
-        d = len(header) - (1 if has_labels else 0)
-        try:
-            rows = [list(map(float, row)) for row in reader if row]
-        except ValueError as exc:
-            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-    data = np.array(rows)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValidationError(f"{path}: ragged rows")
+        header = next(csv.reader(fh), None)
+    if not header or not header[0].startswith("x0"):
+        raise ValidationError(f"{path}: expected header x0,...,f")
+    has_labels = header[-1] == "f"
+    d = len(header) - (1 if has_labels else 0)
+    data = _read_rows(path, len(header))
     return PointCloud(points=data[:, :d], labels=data[:, d] if has_labels else None)
 
 
@@ -112,23 +140,12 @@ def write_cloud_csv(path, cloud: PointCloud) -> None:
 
 def _write_values_csv(path, name, values) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(name + "\n")
-        for v in values:
-            fh.write(f"{v:.17g}\n")
+        fh.write(name + "\n" + "".join(f"{v:.17g}\n" for v in np.asarray(values).tolist()))
 
 
 def _read_values_csv(path) -> np.ndarray:
     """Read a one-column CSV of finite values after a header line."""
-    values = []
-    with open(path) as fh:
-        next(fh, None)  # header
-        for lineno, line in enumerate(fh, start=2):
-            if line.strip():
-                try:
-                    values.append(float(line))
-                except ValueError as exc:
-                    raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-    values = np.array(values)
+    values = _read_rows(path, 1)[:, 0]
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{path}: values must be finite")
     return values
@@ -141,7 +158,7 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise ValidationError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def _solver_config(args, seed=None) -> SolverConfig:
+def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         lam=args.lam,
         eps=args.eps,
@@ -150,7 +167,6 @@ def _solver_config(args, seed=None) -> SolverConfig:
         cg_tol=args.cg_tol,
         irls_tol=args.irls_tol,
         irls_max_iter=args.irls_max_iter,
-        seed=seed if seed is not None else getattr(args, "seed", 0),
         cutoff_multiplier=args.cutoff,
     )
 
@@ -165,7 +181,8 @@ def cmd_denoise(args) -> int:
     config = _solver_config(args)
     graph_stats: dict = {}
     graph = build_geometric_graph(cloud, config, workers=workers, stats=graph_stats)
-    solution = irls_minimize(graph, cloud.labels, spec, config)
+    solver_stats: dict = {}
+    solution = irls_minimize(graph, cloud.labels, spec, config, stats=solver_stats)
     _write_values_csv(args.out, "u", solution.u)
     outputs = [args.out]
     if args.trace:
@@ -189,7 +206,7 @@ def cmd_denoise(args) -> int:
     )
     _write_manifest(
         args.out + ".manifest.json", "denoise", args, [args.input], outputs,
-        args.seed, time.time() - t0, graph=graph_stats,
+        args.seed, time.time() - t0, graph=graph_stats, solver=solver_stats,
     )
     print(
         f"denoise: n={cloud.n} edges={graph.n_edges} iterations={solution.iterations} "
@@ -307,13 +324,15 @@ def cmd_housing(args) -> int:
     config = _solver_config(args)
     graph_stats: dict = {}
     graph = build_geometric_graph(cloud, config, workers=workers, stats=graph_stats)
-    solution = irls_minimize(graph, cloud.labels, spec, config)
+    solver_stats: dict = {}
+    solution = irls_minimize(graph, cloud.labels, spec, config, stats=solver_stats)
     _write_values_csv(args.out, "u", solution.u)
     points_path = args.out + ".points.csv"
     write_cloud_csv(points_path, cloud)
     _write_manifest(
         args.out + ".manifest.json", "housing", args, [args.input],
         [args.out, points_path], args.seed, time.time() - t0, graph=graph_stats,
+        solver=solver_stats,
     )
     print(
         f"housing: edges={graph.n_edges} iterations={solution.iterations} "

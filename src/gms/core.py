@@ -153,13 +153,10 @@ class SolverConfig:
     eps: float = 0.1
     sigma: float = 1.0
     k_max: int = 8
-    p: float = 2.0
-    q: float = 0.0
     cg_tol: float = 1e-8
     cg_max_iter: int = 0  # 0 means 10 * n
     irls_tol: float = 1e-6
     irls_max_iter: int = 100
-    seed: int = 0
     cutoff_multiplier: float = 3.0
 
     def __post_init__(self):
@@ -171,16 +168,10 @@ class SolverConfig:
             raise ValidationError("sigma must be positive")
         if not (self.k_max >= 1):
             raise ValidationError("k_max must be a positive integer")
-        if not (self.p >= 1):
-            raise ValidationError("p must be >= 1")
-        if not (0 <= self.q < self.p):
-            raise ValidationError("q must lie in [0, p)")
         if not (self.cg_tol > 0 and self.irls_tol > 0):
             raise ValidationError("tolerances must be positive")
         if self.cg_max_iter < 0 or self.irls_max_iter < 1:
             raise ValidationError("iteration caps must be positive")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
         if not (self.cutoff_multiplier > 0):
             raise ValidationError("cutoff_multiplier must be positive")
 

@@ -5,6 +5,13 @@ with a conjugate-gradient solve of (I + (2/(lam eps^2 n)) L_zw) u = f, where
 L_zw is the graph Laplacian with edge weights z_ij * w_ij.  CG starts with a
 Jacobi preconditioner; a system it does not solve within CG_BUDGET iterations
 is factored once and CG continues with the factor as preconditioner.
+
+The sparsity pattern of the system never changes within a run, so
+``irls_minimize`` builds it once, in CSC form, and every system is assembled
+by placing its values into that pattern.  The first factorization of a run
+computes a fill-reducing ordering; the pattern is then rebuilt in that
+vertex order, so every later system comes out already permuted and is
+factored without recomputing an ordering.
 """
 
 from __future__ import annotations
@@ -17,13 +24,16 @@ from .core import Solution, SolverConfig, ValidationError, ZetaSpec, zeta_deriva
 from .energy import objective_sec6
 from .graph import SparseGraph
 
-__all__ = ["update_z", "solve_u", "irls_minimize", "detect_edges", "system_matrix", "SolverError"]
+__all__ = [
+    "update_z", "solve_u", "irls_minimize", "detect_edges", "system_matrix", "SystemPattern", "SolverError",
+]
 
-# Jacobi-CG iterations tried before the system is factored.  At n=10k one
-# MMD_AT_PLUS_A factorization costs about 37 ms and one CG iteration about
-# 0.28 ms, so the budget is the ~130 iterations a factor costs plus slack:
-# the ms systems (41-68 iterations) never reach it and the tv systems
-# (176-704) pass it.
+# Jacobi-CG iterations tried before the system is factored.  At n=10k the
+# first factorization of a run, which computes the MMD_AT_PLUS_A ordering,
+# costs about 37 ms and one CG iteration about 0.28 ms, so the budget is the
+# ~130 iterations a factor costs plus slack: the ms systems (41-68
+# iterations) never reach it and the tv systems (176-704) pass it.  Later
+# factorizations reuse the ordering and cost about 60% of the first.
 CG_BUDGET = 150
 
 
@@ -40,23 +50,60 @@ def update_z(graph: SparseGraph, u, spec: ZetaSpec, eps: float) -> np.ndarray:
     return np.asarray(zeta_derivative(spec, du**2 / eps))
 
 
-def system_matrix(graph: SparseGraph, z, lam: float, eps: float) -> sp.csr_matrix:
-    """I + (2/(lam eps^2 n)) L_zw as a sparse CSR matrix."""
+class SystemPattern:
+    """CSC sparsity pattern of the system matrix of one graph.
+
+    The values of a system are the vector [-c zw, -c zw, 1 + c deg]: one
+    entry per stored edge (i, j), then per mirrored edge (j, i), then per
+    diagonal entry, in graph order.  ``order`` lists, for each CSC data slot,
+    the entry of that vector it holds, so a system is assembled by one gather.
+
+    With ``perm`` the pattern is that of the relabelled matrix
+    B[perm[i], perm[j]] = A[i, j], i.e. vertex i becomes vertex perm[i].
+    SuperLU's ``perm_c`` is such a labelling: B factored in its natural
+    order has the fill of A factored with ``perm_c``.
+    """
+
+    def __init__(self, graph: SparseGraph, perm: np.ndarray | None = None):
+        n = graph.n
+        rows = np.concatenate([graph.ii, graph.jj, np.arange(n)])
+        cols = np.concatenate([graph.jj, graph.ii, np.arange(n)])
+        if perm is not None:
+            rows, cols = perm[rows], perm[cols]
+        index = np.int32 if rows.size < 2**31 else np.int64
+        self.perm = perm
+        # Edges are unique with i < j, so every key col * n + row is distinct.
+        self.order = np.argsort(cols.astype(np.int64) * n + rows)
+        self.indices = rows[self.order].astype(index)
+        self.indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+
+
+def system_matrix(
+    graph: SparseGraph, z, lam: float, eps: float, pattern: SystemPattern | None = None
+) -> sp.csc_matrix:
+    """I + (2/(lam eps^2 n)) L_zw as a sparse CSC matrix.
+
+    Built on ``pattern`` if given (a new unpermuted one otherwise), so the
+    rows and columns come in that pattern's vertex order.
+    """
     z = np.asarray(z, dtype=float)
     if z.shape != (graph.n_edges,):
         raise ValidationError("z must have one entry per stored edge")
     if np.any(z < 0):
         raise ValidationError("z must be nonnegative")
+    if pattern is None:
+        pattern = SystemPattern(graph)
     n = graph.n
     c = 2.0 / (lam * eps**2 * n)
     zw = z * graph.weights
-    deg = np.zeros(n)
-    np.add.at(deg, graph.ii, zw)
-    np.add.at(deg, graph.jj, zw)
-    rows = np.concatenate([graph.ii, graph.jj, np.arange(n)])
-    cols = np.concatenate([graph.jj, graph.ii, np.arange(n)])
+    # Each degree is summed over the edges' i ends, then their j ends, in edge
+    # order: a fixed summation order, so reruns are bit-identical.
+    deg = np.bincount(
+        np.concatenate([graph.ii, graph.jj]), weights=np.concatenate([zw, zw]), minlength=n
+    )
     vals = np.concatenate([-c * zw, -c * zw, 1.0 + c * deg])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return sp.csc_matrix((vals[pattern.order], pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def solve_u(
@@ -70,6 +117,7 @@ def solve_u(
     x0=None,
     stats: dict | None = None,
     factor: bool = False,
+    pattern: SystemPattern | None = None,
 ) -> np.ndarray:
     """CG solve of (I + (2/(lam eps^2 n)) L_zw) u = f.
 
@@ -79,8 +127,15 @@ def solve_u(
     the factor as preconditioner.  ``cg_max_iter`` (0 means 10 n) caps the
     iterations of both phases together.
 
+    A is assembled on ``pattern`` (see :class:`SystemPattern`).  An
+    unpermuted pattern is factored with the MMD_AT_PLUS_A ordering; a
+    permuted one is already in a fill-reducing order and is factored in its
+    natural order.  ``f``, ``x0`` and the returned u are in graph order.
+
     When ``stats`` is given, the CG iterations of both phases are stored under
     ``stats["cg_iters"]`` and whether A was factored under ``stats["factored"]``.
+    A factored solve adds ``stats["factor_nnz"]``, the nonzeros of L and U,
+    and, if it computed an ordering, ``stats["perm_c"]``.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (graph.n,):
@@ -90,46 +145,66 @@ def solve_u(
         stats["factored"] = False
     if graph.n_edges == 0 or not np.any(np.asarray(z)):
         return f.copy()
-    A = system_matrix(graph, z, lam, eps)
+    if pattern is None:
+        pattern = SystemPattern(graph)
+    A = system_matrix(graph, z, lam, eps, pattern)
+    b, u = f, x0
+    if pattern.perm is not None:
+        b = np.empty_like(f)
+        b[pattern.perm] = f
+        if x0 is not None:
+            u = np.empty_like(f)
+            u[pattern.perm] = x0
     maxiter = cg_max_iter if cg_max_iter > 0 else 10 * graph.n
     count = [0]
 
     def _tick(_):
         count[0] += 1
 
-    u = x0
     if not factor:
-        M = sp.diags(1.0 / A.diagonal())
+        inv_diag = 1.0 / A.diagonal()
+        M = spla.LinearOperator(A.shape, matvec=lambda r: inv_diag * r, dtype=float)
         u, info = spla.cg(
-            A, f, x0=u, rtol=cg_tol, atol=0.0, maxiter=min(CG_BUDGET, maxiter), M=M, callback=_tick
+            A, b, x0=u, rtol=cg_tol, atol=0.0, maxiter=min(CG_BUDGET, maxiter), M=M, callback=_tick
         )
         # Once the cap is used up there is nothing left to spend on a factor.
         factor = info != 0 and count[0] < maxiter
     if factor:
-        lu = spla.splu(
-            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
-        M = spla.LinearOperator(A.shape, matvec=lu.solve)
+        ordering = "MMD_AT_PLUS_A" if pattern.perm is None else "NATURAL"
+        lu = spla.splu(A, permc_spec=ordering, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        M = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
         u, info = spla.cg(
-            A, f, x0=u, rtol=cg_tol, atol=0.0, maxiter=maxiter - count[0], M=M, callback=_tick
+            A, b, x0=u, rtol=cg_tol, atol=0.0, maxiter=maxiter - count[0], M=M, callback=_tick
         )
     if stats is not None:
         stats["cg_iters"] = count[0]
         stats["factored"] = factor
-    residual = np.linalg.norm(A @ u - f) / np.linalg.norm(f)
+        if factor:
+            stats["factor_nnz"] = int(lu.nnz)
+            if pattern.perm is None:
+                # A copy: ``lu.perm_c`` is a view that would keep the factor alive.
+                stats["perm_c"] = lu.perm_c.copy()
+    residual = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
     if info != 0 or residual > cg_tol * 10:
         raise SolverError(
             f"conjugate gradient did not reach tolerance {cg_tol:g} "
             f"within {maxiter} iterations (relative residual {residual:.3e})"
         )
-    return u
+    return u if pattern.perm is None else u[pattern.perm]
 
 
-def irls_minimize(graph: SparseGraph, f, spec: ZetaSpec, config: SolverConfig) -> Solution:
+def irls_minimize(
+    graph: SparseGraph, f, spec: ZetaSpec, config: SolverConfig, stats: dict | None = None
+) -> Solution:
     """Alternating z / u minimization starting from u = f.
 
     Stops when the relative decrease of the sec6 total energy drops below
     config.irls_tol, or after config.irls_max_iter iterations.
+
+    When ``stats`` is given it receives ``irls_iters``, ``cg_iters`` (summed
+    over the run), ``factorizations``, ``orderings`` (fill-reducing orderings
+    computed, at most one) and ``factor_nnz`` (nonzeros of L and U of the
+    last factor, 0 if none).
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (graph.n,):
@@ -142,6 +217,8 @@ def irls_minimize(graph: SparseGraph, f, spec: ZetaSpec, config: SolverConfig) -
     )
     prev_total = e0.total
     converged = False
+    pattern = SystemPattern(graph)
+    run = {"cg_iters": 0, "factorizations": 0, "orderings": 0, "factor_nnz": 0}
     # The systems of a run grow stiffer as z sharpens (tv at n=10k: 176 Jacobi
     # CG iterations for the first, 580-704 from the fifth on), so once one has
     # needed the factor, the later ones are factored without trying CG first.
@@ -149,12 +226,21 @@ def irls_minimize(graph: SparseGraph, f, spec: ZetaSpec, config: SolverConfig) -
     it = 0
     for it in range(1, config.irls_max_iter + 1):
         z = update_z(graph, u, spec, config.eps)
-        stats: dict = {}
+        solve: dict = {}
         u = solve_u(
             graph, f, z, config.lam, config.eps,
-            cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, x0=u, stats=stats, factor=factor,
+            cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, x0=u, stats=solve,
+            factor=factor, pattern=pattern,
         )
-        factor = factor or stats["factored"]
+        factor = factor or solve["factored"]
+        run["cg_iters"] += solve["cg_iters"]
+        if solve["factored"]:
+            run["factorizations"] += 1
+            run["factor_nnz"] = solve["factor_nnz"]
+        if "perm_c" in solve:
+            # Every later system is assembled in the first factor's order.
+            run["orderings"] += 1
+            pattern = SystemPattern(graph, perm=solve["perm_c"])
         if not np.all(np.isfinite(u)):
             raise SolverError(f"non-finite iterate at IRLS iteration {it}")
         e = objective_sec6(graph, u, f, spec, config.lam, config.eps)
@@ -163,7 +249,7 @@ def irls_minimize(graph: SparseGraph, f, spec: ZetaSpec, config: SolverConfig) -
             "fidelity": e.fidelity,
             "regularizer": e.regularizer,
             "total": e.total,
-            "cg_iters": stats.get("cg_iters", 0),
+            "cg_iters": solve["cg_iters"],
         })
         denom = max(abs(prev_total), 1e-300)
         if (prev_total - e.total) / denom < config.irls_tol:
@@ -171,6 +257,8 @@ def irls_minimize(graph: SparseGraph, f, spec: ZetaSpec, config: SolverConfig) -
             prev_total = e.total
             break
         prev_total = e.total
+    if stats is not None:
+        stats.update(run, irls_iters=it)
     return Solution(u=u, energy_trace=trace, iterations=it, converged=converged)
 
 

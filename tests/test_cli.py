@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gms.cli import main, read_cloud_csv, render_svg, write_cloud_csv
+from gms.cli import _read_values_csv, _write_values_csv, main, read_cloud_csv, render_svg, write_cloud_csv
 from gms.core import PointCloud, SolverConfig
 from gms.graph import load_graph
 
@@ -126,6 +126,80 @@ class TestGraphManifest:
         assert stats["tie_fallbacks"] == 0 and stats["zero_distance_edges"] == 0
 
 
+class TestSolverManifest:
+    @pytest.mark.parametrize("zeta", ["ms", "tv"])
+    def test_denoise_manifest_records_solver_stats(self, synth_files, tmp_path, capsys, zeta):
+        cloud_path, _ = synth_files
+        out, trace = tmp_path / "u.csv", tmp_path / "trace.jsonl"
+        code = run("denoise", "--input", cloud_path, "--out", out, "--trace", trace, "--zeta", zeta, "--lambda", "50")
+        assert code == 0
+        stats = json.loads((tmp_path / "u.csv.manifest.json").read_text())["solver"]
+        assert set(stats) == {"irls_iters", "cg_iters", "factorizations", "orderings", "factor_nnz"}
+        entries = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert stats["irls_iters"] == len(entries) - 1
+        assert f"iterations={stats['irls_iters']} " in capsys.readouterr().out
+        assert stats["cg_iters"] == sum(entry["cg_iters"] for entry in entries)
+        if zeta == "ms":
+            assert stats["factorizations"] == 0 and stats["orderings"] == 0 and stats["factor_nnz"] == 0
+        else:
+            # the tv systems outrun the Jacobi budget: one ordering, then every solve is factored
+            assert stats["orderings"] == 1 and stats["factorizations"] >= 1 and stats["factor_nnz"] > 0
+
+    def test_housing_manifest_records_solver_stats(self, tmp_path):
+        csv_path = tmp_path / "houses.csv"
+        csv_path.write_text(
+            "id,long,lat,price,sqft_living\n"
+            "1,-122.3,47.6,500000,2000\n2,-122.301,47.6,400000,1500\n3,-122.31,47.61,450000,1800\n"
+        )
+        assert run("housing", "--input", csv_path, "--out", tmp_path / "u.csv") == 0
+        stats = json.loads((tmp_path / "u.csv.manifest.json").read_text())["solver"]
+        assert stats["irls_iters"] >= 1 and stats["orderings"] <= 1
+
+
+class TestCsvIo:
+    def test_values_golden_bytes(self, tmp_path):
+        path = tmp_path / "v.csv"
+        _write_values_csv(path, "u", np.array([0.1, 1 / 3, -2.0, 1e-300, -0.0, 1.2345678901234567e19, 5e-324]))
+        assert path.read_bytes() == (
+            b"u\n0.10000000000000001\n0.33333333333333331\n-2\n1e-300\n-0\n"
+            b"1.2345678901234567e+19\n4.9406564584124654e-324\n"
+        )
+
+    def test_values_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500), [0.0, -0.0]])
+        path = tmp_path / "v.csv"
+        _write_values_csv(path, "truth", values)
+        assert _read_values_csv(path).tobytes() == values.tobytes()
+
+    def test_cloud_round_trip_and_golden_bytes(self, tmp_path):
+        rng = np.random.default_rng(4)
+        cloud = PointCloud(points=rng.random((300, 3)), labels=rng.standard_normal(300))
+        path = tmp_path / "c.csv"
+        write_cloud_csv(path, cloud)
+        back = read_cloud_csv(path)
+        assert back.points.tobytes() == cloud.points.tobytes()
+        assert back.labels.tobytes() == cloud.labels.tobytes()
+        small = tmp_path / "s.csv"
+        write_cloud_csv(small, PointCloud(points=[[0.1, 2.0]], labels=[-0.5]))
+        assert small.read_bytes() == b"x0,x1,f\r\n0.10000000000000001,2,-0.5\r\n"
+        assert read_cloud_csv(small).labels.tolist() == [-0.5]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("x0,x1\n0.5,1\n\n  \n0.25,2\n")
+        cloud = read_cloud_csv(path)
+        assert cloud.points.tolist() == [[0.5, 1.0], [0.25, 2.0]] and cloud.labels is None
+        values = tmp_path / "v.csv"
+        values.write_text("u\n1.5\n\n2.5\n")
+        assert _read_values_csv(values).tolist() == [1.5, 2.5]
+
+    def test_header_only_values_file_is_empty(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("u\n")
+        assert _read_values_csv(path).shape == (0,)
+
+
 class TestThreadCount:
     """A malformed ``--threads`` or ``GMS_THREADS`` exits with code 2 before any work."""
 
@@ -173,6 +247,36 @@ class TestMalformedInput:
         values.write_text("u\n" + "0.5\n" * 399 + "abc\n")
         assert run("plot", "--points", cloud_path, "--values", values, "--out", tmp_path / "p.svg") == 2
         assert "line 401" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [("0.1,0.2,1.0\n0.3,0.4\n", "line 3"), ("0.1,0.2,1.0\n0.3,0.4,1.0,\n", "line 3"),
+         ("0.1,0.2\n0.3,0.4\n", "line 2"), ("0.1,0.2,1.0\n0.3,0.2,1.0,5\n", "line 3")],
+    )
+    def test_ragged_point_rows(self, tmp_path, capsys, body, line):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,x1,f\n" + body)
+        assert run("denoise", "--input", bad, "--out", tmp_path / "u.csv") == 2
+        assert f"bad.csv: {line}" in capsys.readouterr().err
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_header_only_point_file(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,x1,f\n")
+        assert run("denoise", "--input", bad, "--out", tmp_path / "u.csv") == 2
+
+    def test_non_finite_point(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x0,x1,f\n0.1,0.2,1.0\n0.3,inf,2.0\n")
+        assert run("denoise", "--input", bad, "--out", tmp_path / "u.csv") == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_two_column_value_file(self, synth_files, tmp_path, capsys):
+        cloud_path, _ = synth_files
+        values = tmp_path / "v.csv"
+        values.write_text("u\n" + "0.5,1\n" * 400)
+        assert run("plot", "--points", cloud_path, "--values", values, "--out", tmp_path / "p.svg") == 2
+        assert "v.csv: line 2" in capsys.readouterr().err
 
     def test_nan_solution_for_edges(self, synth_files, tmp_path):
         cloud_path, _ = synth_files

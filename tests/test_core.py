@@ -136,10 +136,6 @@ class TestPointCloud:
 
 
 class TestSolverConfig:
-    def test_q_must_be_below_p(self):
-        with pytest.raises(ValidationError):
-            SolverConfig(p=2.0, q=2.0)
-
     def test_positivity(self):
         with pytest.raises(ValidationError):
             SolverConfig(eps=0.0)

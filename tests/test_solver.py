@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gms.core import PointCloud, SolverConfig, ValidationError, ZetaSpec
@@ -9,6 +10,7 @@ from gms.graph import brute_force_graph, build_geometric_graph
 from gms.solver import (
     CG_BUDGET,
     SolverError,
+    SystemPattern,
     detect_edges,
     irls_minimize,
     solve_u,
@@ -78,6 +80,67 @@ class TestSystemMatrix:
         z = -np.ones(g.n_edges)
         with pytest.raises(ValidationError):
             system_matrix(g, z, 1.0, 0.3)
+
+
+def reference_matrix(graph, z, lam, eps):
+    """The system matrix assembled from COO triplets, degrees by np.add.at."""
+    n = graph.n
+    c = 2.0 / (lam * eps**2 * n)
+    zw = z * graph.weights
+    deg = np.zeros(n)
+    np.add.at(deg, graph.ii, zw)
+    np.add.at(deg, graph.jj, zw)
+    rows = np.concatenate([graph.ii, graph.jj, np.arange(n)])
+    cols = np.concatenate([graph.jj, graph.ii, np.arange(n)])
+    vals = np.concatenate([-c * zw, -c * zw, 1.0 + c * deg])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def assert_same_csc(actual, expected):
+    expected = expected.tocsc()
+    expected.sort_indices()
+    assert actual.format == "csc"
+    assert np.array_equal(actual.indptr, expected.indptr)
+    assert np.array_equal(actual.indices, expected.indices)
+    assert actual.data.tobytes() == expected.data.tobytes()
+
+
+class TestSystemPattern:
+    def test_identity_pattern_matches_reference(self, rng):
+        g = brute_force_graph(random_cloud(rng, 80), small_config(eps=0.3))
+        z = rng.random(g.n_edges)
+        assert_same_csc(system_matrix(g, z, 2.0, 0.3), reference_matrix(g, z, 2.0, 0.3))
+        pattern = SystemPattern(g)
+        assert pattern.perm is None
+        assert_same_csc(system_matrix(g, z, 2.0, 0.3, pattern), reference_matrix(g, z, 2.0, 0.3))
+
+    def test_permuted_pattern_is_p_a_pt(self, rng):
+        n = 80
+        g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
+        z = rng.random(g.n_edges)
+        perm = rng.permutation(n)
+        # P e_i = e_perm[i], so (P A P^T)[perm[i], perm[j]] = A[i, j]
+        P = sp.csr_matrix((np.ones(n), (perm, np.arange(n))), shape=(n, n))
+        expected = P @ reference_matrix(g, z, 2.0, 0.3).tocsr() @ P.T
+        B = system_matrix(g, z, 2.0, 0.3, SystemPattern(g, perm=perm))
+        assert_same_csc(B, expected)
+
+    def test_factored_solve_through_permuted_pattern(self, rng):
+        graph, f, spec, config = stiff_tv_case()
+        z = update_z(graph, f, spec, config.eps)
+        direct = spla.spsolve(system_matrix(graph, z, 5.0, config.eps), f)
+        first = {}
+        solve_u(graph, f, z, 5.0, config.eps, stats=first, factor=True)
+        assert first["perm_c"].base is None  # holds no reference to the factor
+        for perm in (first["perm_c"], rng.permutation(graph.n)):
+            stats = {}
+            u = solve_u(
+                graph, f, z, 5.0, config.eps, cg_tol=1e-10, stats=stats, factor=True,
+                pattern=SystemPattern(graph, perm=perm), x0=f,
+            )
+            assert stats["factored"] and "perm_c" not in stats
+            assert np.linalg.norm(u - direct) <= 1e-10 * np.linalg.norm(direct)
+        assert stats["factor_nnz"] > first["factor_nnz"]  # a random order fills in more
 
 
 class TestSolveU:
@@ -173,6 +236,45 @@ class TestFactoredSolve:
         iters = [entry["cg_iters"] for entry in a.energy_trace[1:]]
         first = next(k for k, c in enumerate(iters) if c > CG_BUDGET)
         assert all(c <= 3 for c in iters[first + 1 :])
+
+
+class TestOneOrderingPerRun:
+    def test_one_mmd_ordering_then_natural(self, monkeypatch):
+        graph, f, spec, config = stiff_tv_case()
+        calls = []
+        splu = spla.splu
+
+        def recording_splu(A, permc_spec=None, **kwargs):
+            lu = splu(A, permc_spec=permc_spec, **kwargs)
+            calls.append((permc_spec, lu.nnz))
+            return lu
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        stats = {}
+        sol = irls_minimize(graph, f, spec, config, stats=stats)
+        orderings = [spec_ for spec_, _ in calls]
+        assert len(calls) >= 2
+        assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(calls) - 1)
+        assert len({nnz for _, nnz in calls}) == 1
+        assert stats == {
+            "irls_iters": sol.iterations,
+            "cg_iters": sum(entry["cg_iters"] for entry in sol.energy_trace),
+            "factorizations": len(calls),
+            "orderings": 1,
+            "factor_nnz": calls[-1][1],
+        }
+
+        calls.clear()
+        irls_minimize(graph, f, spec, config)
+        assert [spec_ for spec_, _ in calls].count("MMD_AT_PLUS_A") == 1
+
+    def test_ms_run_never_factors(self, rng, ms_spec):
+        n = 60
+        g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
+        stats = {}
+        irls_minimize(g, rng.random(n), ms_spec, small_config(eps=0.3), stats=stats)
+        assert stats["factorizations"] == 0 and stats["orderings"] == 0
+        assert stats["factor_nnz"] == 0 and stats["cg_iters"] > 0
 
 
 class TestIrls:
