@@ -1,8 +1,11 @@
 """Command-line entry point.
 
 Subcommands: denoise, edges, synth, gamma, consistency, housing, plot.
-Every run writes a JSON manifest next to its outputs; all RNG use is seeded
-and reductions are ordered, so re-running a manifest reproduces outputs
+``denoise`` and ``housing`` share one run path (graph build, IRLS, the ``u``
+file and the energy line) and differ only in how they read their points.
+Each subcommand returns its inputs and outputs, and ``main`` writes the JSON
+manifest ``<--out>.manifest.json`` from them; all RNG use is seeded and
+reductions are ordered, so re-running a manifest reproduces outputs
 bit-exactly.  Exit codes: 0 success, 2 validation failure, 3 solver failure.
 """
 
@@ -61,21 +64,21 @@ def _threads(args) -> int:
     return threads
 
 
-def _write_manifest(path, command, args, inputs, outputs, seed, duration, graph=None, solver=None):
+def _write_manifest(args, record: dict, duration: float) -> None:
+    """Write ``<--out>.manifest.json``: the resolved flags plus ``record``.
+
+    ``record`` is what the subcommand returned: its ``inputs`` and ``outputs``
+    and, for denoise and housing, the ``graph`` and ``solver`` statistics.
+    """
     manifest = {
-        "command": command,
+        "command": args.subcommand,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
-        "inputs": inputs,
-        "outputs": outputs,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "duration_s": duration,
         "version": __version__,
+        **record,
     }
-    if graph is not None:
-        manifest["graph"] = graph
-    if solver is not None:
-        manifest["solver"] = solver
-    with open(path, "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -171,12 +174,14 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def cmd_denoise(args) -> int:
-    t0 = time.time()
+def _minimize(args, cloud: PointCloud, truth=None):
+    """The run path of denoise and housing: graph, IRLS, the ``u`` file, the energy line.
+
+    Prints the L1 error against ``truth`` if given, then the final energy in
+    the scaling ``--sec1`` selects.  Returns the graph, the solution and the
+    manifest record with the graph and solver statistics.
+    """
     workers = _threads(args)
-    cloud = read_cloud_csv(args.input)
-    if cloud.labels is None:
-        raise ValidationError("--input must carry labels (an 'f' column)")
     spec = _zeta_from_flags(args)
     config = _solver_config(args)
     graph_stats: dict = {}
@@ -184,6 +189,23 @@ def cmd_denoise(args) -> int:
     solver_stats: dict = {}
     solution = irls_minimize(graph, cloud.labels, spec, config, stats=solver_stats)
     _write_values_csv(args.out, "u", solution.u)
+    if truth is not None:
+        print(f"l1_error {l1_error(solution.u, truth):.6f}")
+    objective = objective_sec1 if args.sec1 else objective_sec6
+    e = objective(graph, solution.u, cloud.labels, spec, args.lam, args.eps)
+    print(
+        f"energy[{e.parameterization}] fidelity={e.fidelity:.9g} "
+        f"regularizer={e.regularizer:.9g} total={e.total:.9g}"
+    )
+    return graph, solution, {"graph": graph_stats, "solver": solver_stats}
+
+
+def cmd_denoise(args) -> dict:
+    cloud = read_cloud_csv(args.input)
+    if cloud.labels is None:
+        raise ValidationError("--input must carry labels (an 'f' column)")
+    truth = _read_values_csv(args.truth) if args.truth else None
+    graph, solution, record = _minimize(args, cloud, truth)
     outputs = [args.out]
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -193,30 +215,28 @@ def cmd_denoise(args) -> int:
     if args.graph_out:
         save_graph(graph, args.graph_out)
         outputs.append(args.graph_out)
-    if args.truth:
-        truth = _read_values_csv(args.truth)
-        print(f"l1_error {l1_error(solution.u, truth):.6f}")
-    if args.sec1:
-        e = objective_sec1(graph, solution.u, cloud.labels, spec, args.lam, args.eps)
-    else:
-        e = objective_sec6(graph, solution.u, cloud.labels, spec, args.lam, args.eps)
-    print(
-        f"energy[{e.parameterization}] fidelity={e.fidelity:.9g} "
-        f"regularizer={e.regularizer:.9g} total={e.total:.9g}"
-    )
-    _write_manifest(
-        args.out + ".manifest.json", "denoise", args, [args.input], outputs,
-        args.seed, time.time() - t0, graph=graph_stats, solver=solver_stats,
-    )
     print(
         f"denoise: n={cloud.n} edges={graph.n_edges} iterations={solution.iterations} "
         f"converged={solution.converged}"
     )
-    return 0
+    return {"inputs": [args.input], "outputs": outputs, **record}
 
 
-def cmd_edges(args) -> int:
+def cmd_housing(args) -> dict:
     t0 = time.time()
+    cloud = ingest_housing(args.input, args.max_longitude, normalize=not args.raw_labels)
+    print(f"housing: {cloud.n} records ingested")
+    graph, solution, record = _minimize(args, cloud)
+    points_path = args.out + ".points.csv"
+    write_cloud_csv(points_path, cloud)
+    print(
+        f"housing: edges={graph.n_edges} iterations={solution.iterations} "
+        f"converged={solution.converged} ({time.time() - t0:.1f}s)"
+    )
+    return {"inputs": [args.input], "outputs": [args.out, points_path], **record}
+
+
+def cmd_edges(args) -> dict:
     graph = load_graph(args.graph)
     u = _read_values_csv(args.solution)
     if len(u) != graph.n:
@@ -228,34 +248,21 @@ def cmd_edges(args) -> int:
         fh.write("i,j,jump\n")
         for i, j in flagged:
             fh.write(f"{i},{j},{abs(u[i] - u[j]):.17g}\n")
-    _write_manifest(
-        args.out + ".manifest.json", "edges", args, [args.graph, args.solution],
-        [args.out], 0, time.time() - t0,
-    )
     print(f"edges: {len(flagged)} flagged")
-    return 0
+    return {"inputs": [args.graph, args.solution], "outputs": [args.out]}
 
 
-def cmd_synth(args) -> int:
-    t0 = time.time()
+def cmd_synth(args) -> dict:
     case = generate_synthetic(args.n, args.noise, args.seed)
     write_cloud_csv(args.out, case.cloud)
     truth_path = args.truth_out or (args.out + ".truth.csv")
     _write_values_csv(truth_path, "truth", case.truth)
-    _write_manifest(
-        args.out + ".manifest.json", "synth", args, [], [args.out, truth_path],
-        args.seed, time.time() - t0,
-    )
     print(f"synth: wrote {case.cloud.n} samples")
-    return 0
+    return {"inputs": [], "outputs": [args.out, truth_path]}
 
 
-def cmd_gamma(args) -> int:
-    t0 = time.time()
-    if args.case == "smooth":
-        case = SmoothCase()
-    else:
-        case = StepCase()
+def cmd_gamma(args) -> dict:
+    case = SmoothCase() if args.case == "smooth" else StepCase()
     n_list = _int_list(args.n, "--n")
     spec = _zeta_from_flags(args)
     rows = gamma_experiment(
@@ -269,17 +276,12 @@ def cmd_gamma(args) -> int:
                 f"{r['n']},{r['eps']:.17g},{r['discrete']:.17g},"
                 f"{r['continuum']:.17g},{r['ratio']:.17g},{r['seed']}\n"
             )
-    _write_manifest(
-        args.out + ".manifest.json", "gamma", args, [], [args.out],
-        args.seed, time.time() - t0,
-    )
     for r in rows:
         print(f"n={r['n']} eps={r['eps']:.4f} ratio={r['ratio']:.4f}")
-    return 0
+    return {"inputs": [], "outputs": [args.out]}
 
 
-def cmd_consistency(args) -> int:
-    t0 = time.time()
+def cmd_consistency(args) -> dict:
     n_list = _int_list(args.n, "--n")
     k_list = _int_list(args.k, "--k")
     outputs = []
@@ -308,37 +310,7 @@ def cmd_consistency(args) -> int:
                 )
                 print(f"k={k} l1={res['l1']:.4f} energy={res['energy']:.4f}")
         outputs.append(path)
-    _write_manifest(
-        args.out + ".manifest.json", "consistency", args, [], outputs,
-        args.seed, time.time() - t0,
-    )
-    return 0
-
-
-def cmd_housing(args) -> int:
-    t0 = time.time()
-    workers = _threads(args)
-    cloud = ingest_housing(args.input, args.max_longitude, normalize=not args.raw_labels)
-    print(f"housing: {cloud.n} records ingested")
-    spec = _zeta_from_flags(args)
-    config = _solver_config(args)
-    graph_stats: dict = {}
-    graph = build_geometric_graph(cloud, config, workers=workers, stats=graph_stats)
-    solver_stats: dict = {}
-    solution = irls_minimize(graph, cloud.labels, spec, config, stats=solver_stats)
-    _write_values_csv(args.out, "u", solution.u)
-    points_path = args.out + ".points.csv"
-    write_cloud_csv(points_path, cloud)
-    _write_manifest(
-        args.out + ".manifest.json", "housing", args, [args.input],
-        [args.out, points_path], args.seed, time.time() - t0, graph=graph_stats,
-        solver=solver_stats,
-    )
-    print(
-        f"housing: edges={graph.n_edges} iterations={solution.iterations} "
-        f"converged={solution.converged} ({time.time() - t0:.1f}s)"
-    )
-    return 0
+    return {"inputs": [], "outputs": outputs}
 
 
 # Fixed color ramp for the SVG scatter: linear blue (low) to red (high).
@@ -390,8 +362,7 @@ def render_svg(points, values, edge_list, out_path, size: int = 800, margin: int
         fh.write("\n".join(parts) + "\n")
 
 
-def cmd_plot(args) -> int:
-    t0 = time.time()
+def cmd_plot(args) -> dict:
     cloud = read_cloud_csv(args.points)
     values = _read_values_csv(args.values) if args.values else cloud.labels
     if values is None:
@@ -412,13 +383,8 @@ def cmd_plot(args) -> int:
                             f"{args.edges}: line {lineno}: expected i,j,... got {line.strip()!r}"
                         ) from None
     render_svg(cloud.points, values, edge_list, args.out)
-    _write_manifest(
-        args.out + ".manifest.json", "plot", args,
-        [p for p in (args.points, args.values, args.edges) if p], [args.out],
-        0, time.time() - t0,
-    )
     print(f"plot: wrote {args.out}")
-    return 0
+    return {"inputs": [p for p in (args.points, args.values, args.edges) if p], "outputs": [args.out]}
 
 
 def _add_solver_flags(p):
@@ -432,7 +398,6 @@ def _add_solver_flags(p):
     p.add_argument("--cg-tol", type=float, default=1e-8)
     p.add_argument("--irls-tol", type=float, default=1e-6)
     p.add_argument("--irls-max-iter", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=0)
     p.add_argument(
         "--sec1", action="store_true",
@@ -515,8 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        record = args.func(args)
+        _write_manifest(args, record, time.time() - t0)
+        return 0
     except (ValidationError, IngestError, SingularityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

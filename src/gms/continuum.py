@@ -22,8 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-# zeta_value is unused here but stays importable: perfbench/tracer.py hooks it.
-from .core import ValidationError, ZetaSpec, zeta_derivative, zeta_limit, zeta_value  # noqa: F401
+from .core import ValidationError, ZetaSpec, zeta_derivative, zeta_limit
 from .energy import pair_terms
 
 __all__ = [

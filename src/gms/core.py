@@ -92,15 +92,6 @@ class ZetaSpec:
         elif self.delta is not None:
             raise ValidationError(f"delta is only meaningful for tv_smoothed, not {self.kind}")
 
-    @property
-    def theta(self) -> float | None:
-        """Limit of zeta at infinity; None means unbounded."""
-        return zeta_limit(self)
-
-    @property
-    def derivative_at_zero(self) -> float:
-        return zeta_derivative(self, 0.0)
-
 
 def zeta_value(spec: ZetaSpec, t):
     """Evaluate zeta(t) elementwise for t >= 0."""

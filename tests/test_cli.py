@@ -1,12 +1,27 @@
 import json
+import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gms.cli import _read_values_csv, _write_values_csv, main, read_cloud_csv, render_svg, write_cloud_csv
-from gms.core import PointCloud, SolverConfig
-from gms.graph import load_graph
+from gms.cli import (
+    _read_values_csv,
+    _write_values_csv,
+    build_parser,
+    main,
+    read_cloud_csv,
+    render_svg,
+    write_cloud_csv,
+)
+from gms.core import PointCloud, SolverConfig, ZetaSpec
+from gms.datasets import generate_synthetic, ingest_housing
+from gms.graph import build_geometric_graph, load_graph
+from gms.solver import irls_minimize
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -457,3 +472,98 @@ class TestPlot:
 
         with pytest.raises(ValidationError):
             render_svg(np.zeros((2, 2)), np.zeros(2), [(0, 5)], tmp_path / "x.svg")
+
+
+def _write_houses(path, n=50):
+    """The ``TestHousing.test_small_csv`` records: n houses in a 0.02-degree square."""
+    rng = np.random.default_rng(0)
+    rows = ["id,long,lat,price,sqft_living\n"]
+    for i in range(n):
+        lon = -122.4 + 0.02 * rng.random()
+        lat = 47.5 + 0.02 * rng.random()
+        rows.append(f"{i},{lon:.5f},{lat:.5f},{300000 + 1000 * i},{1500 + 10 * i}\n")
+    path.write_text("".join(rows))
+    return path
+
+
+class TestSharedRunPath:
+    """denoise and housing run the same solve and report it the same way."""
+
+    def test_housing_sec1_reporting(self, tmp_path, capsys):
+        csv_path = _write_houses(tmp_path / "houses.csv")
+        assert run("housing", "--input", csv_path, "--out", tmp_path / "u.csv", "--sec1") == 0
+        assert "energy[sec1]" in capsys.readouterr().out
+
+    def test_housing_prints_sec6_energy(self, tmp_path, capsys):
+        csv_path = _write_houses(tmp_path / "houses.csv")
+        assert run("housing", "--input", csv_path, "--out", tmp_path / "u.csv") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "housing: 50 records ingested"
+        assert lines[1].startswith("energy[sec6] ")
+        assert lines[2].startswith("housing: edges=")
+
+
+class TestSeed:
+    """Only the subcommands that draw random numbers take ``--seed``."""
+
+    @pytest.mark.parametrize("subcommand", ["denoise", "housing"])
+    def test_seed_flag_rejected(self, tmp_path, subcommand):
+        with pytest.raises(SystemExit) as exc:
+            run(subcommand, "--input", tmp_path / "in.csv", "--out", tmp_path / "u.csv", "--seed", 1)
+        assert exc.value.code == 2
+
+    def test_denoise_manifest_seed_is_null(self, synth_files, tmp_path):
+        assert run("denoise", "--input", synth_files[0], "--out", tmp_path / "u.csv") == 0
+        manifest = json.loads((tmp_path / "u.csv.manifest.json").read_text())
+        assert manifest["seed"] is None and "seed" not in manifest["config"]
+        assert manifest["command"] == "denoise" and manifest["inputs"] == [str(synth_files[0])]
+
+    def test_edges_manifest_seed_is_null(self, synth_files, tmp_path):
+        u, graph = tmp_path / "u.csv", tmp_path / "g.txt"
+        assert run("denoise", "--input", synth_files[0], "--out", u, "--graph-out", graph) == 0
+        assert run("edges", "--solution", u, "--graph", graph, "--jump", "0.075", "--out", tmp_path / "e.csv") == 0
+        assert json.loads((tmp_path / "e.csv.manifest.json").read_text())["seed"] is None
+
+
+class TestMatchesLibrary:
+    """The CLI's CSV round trip and defaults leave the in-memory solve unchanged, bit for bit."""
+
+    @pytest.mark.parametrize("zeta,spec", [("ms", ZetaSpec("ms_arctan")), ("tv", ZetaSpec("tv_smoothed", delta=0.001))])
+    def test_denoise(self, synth_files, tmp_path, zeta, spec):
+        out = tmp_path / "u.csv"
+        assert run("denoise", "--input", synth_files[0], "--out", out, "--zeta", zeta, "--lambda", "50") == 0
+        cloud = generate_synthetic(400, 0.2, seed=7).cloud
+        config = SolverConfig(lam=50.0)
+        expected = irls_minimize(build_geometric_graph(cloud, config), cloud.labels, spec, config).u
+        np.testing.assert_array_equal(_read_values_csv(out), expected)
+
+    def test_housing(self, tmp_path):
+        csv_path = _write_houses(tmp_path / "houses.csv")
+        out = tmp_path / "u.csv"
+        assert run("housing", "--input", csv_path, "--out", out) == 0
+        cloud = ingest_housing(csv_path)
+        config = SolverConfig(lam=14.0, eps=0.04, sigma=1.0, k_max=15)
+        expected = irls_minimize(build_geometric_graph(cloud, config), cloud.labels, ZetaSpec("ms_arctan"), config).u
+        np.testing.assert_array_equal(_read_values_csv(out), expected)
+
+
+def _readme_cli_lines():
+    """Every ``gms ...`` command in the README's ``sh`` blocks, continuations joined."""
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("gms "):
+                lines.append(line)
+    return lines
+
+
+def test_readme_has_cli_recipes():
+    subcommands = {shlex.split(line)[1] for line in _readme_cli_lines()}
+    assert subcommands == {"denoise", "edges", "synth", "gamma", "consistency", "housing", "plot"}
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    assert "$" not in line, "write README recipes as literal lines"
+    build_parser().parse_args(shlex.split(line)[1:])
