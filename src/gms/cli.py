@@ -205,6 +205,8 @@ def cmd_denoise(args) -> dict:
     if cloud.labels is None:
         raise ValidationError("--input must carry labels (an 'f' column)")
     truth = _read_values_csv(args.truth) if args.truth else None
+    if truth is not None and len(truth) != cloud.n:
+        raise ValidationError(f"{args.truth}: {len(truth)} values, expected {cloud.n}")
     graph, solution, record = _minimize(args, cloud, truth)
     outputs = [args.out]
     if args.trace:

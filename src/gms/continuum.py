@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from .core import ValidationError, ZetaSpec, zeta_derivative, zeta_limit
@@ -61,6 +60,10 @@ def radial_moment(eta: Callable, power: float, tol: float = 1e-12) -> float:
     The cutoff grows until the last doubling contributes less than ``tol`` of
     the running total; failure to stabilize raises DivergentIntegralError.
     """
+    # Imported here, not at module level: scipy.integrate pulls in
+    # scipy.optimize, which only these constants need, into every gms start.
+    from scipy.integrate import quad
+
     integrand = lambda t: t**power * eta(t)
     total = quad(integrand, 0.0, 1.0, limit=200)[0]
     lo, hi = 1.0, 2.0

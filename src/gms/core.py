@@ -145,7 +145,6 @@ class SolverConfig:
     sigma: float = 1.0
     k_max: int = 8
     cg_tol: float = 1e-8
-    cg_max_iter: int = 0  # 0 means 10 * n
     irls_tol: float = 1e-6
     irls_max_iter: int = 100
     cutoff_multiplier: float = 3.0
@@ -161,8 +160,8 @@ class SolverConfig:
             raise ValidationError("k_max must be a positive integer")
         if not (self.cg_tol > 0 and self.irls_tol > 0):
             raise ValidationError("tolerances must be positive")
-        if self.cg_max_iter < 0 or self.irls_max_iter < 1:
-            raise ValidationError("iteration caps must be positive")
+        if self.irls_max_iter < 1:
+            raise ValidationError("irls_max_iter must be positive")
         if not (self.cutoff_multiplier > 0):
             raise ValidationError("cutoff_multiplier must be positive")
 

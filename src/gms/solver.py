@@ -1,10 +1,11 @@
 """IRLS minimization of the graph Mumford-Shah objective.
 
 Alternates the closed-form edge-weight update z_ij = zeta'(|u_i - u_j|^2 / eps)
-with a conjugate-gradient solve of (I + (2/(lam eps^2 n)) L_zw) u = f, where
-L_zw is the graph Laplacian with edge weights z_ij * w_ij.  CG starts with a
-Jacobi preconditioner; a system it does not solve within CG_BUDGET iterations
-is factored once and CG continues with the factor as preconditioner.
+with a solve of (I + (2/(lam eps^2 n)) L_zw) u = f, where L_zw is the graph
+Laplacian with edge weights z_ij * w_ij.  The solve starts with
+Jacobi-preconditioned conjugate gradients; a system CG does not solve within
+CG_BUDGET iterations is factored once by sparse LU and solved directly, and
+so is every later system of the run.
 
 The sparsity pattern of the system never changes within a run, so
 ``irls_minimize`` builds it once, in CSC form, and every system is assembled
@@ -113,26 +114,22 @@ def solve_u(
     lam: float,
     eps: float,
     cg_tol: float = 1e-8,
-    cg_max_iter: int = 0,
     x0=None,
     stats: dict | None = None,
-    factor: bool = False,
     pattern: SystemPattern | None = None,
 ) -> np.ndarray:
-    """CG solve of (I + (2/(lam eps^2 n)) L_zw) u = f.
+    """Solve (I + (2/(lam eps^2 n)) L_zw) u = f.
 
-    CG first runs with a Jacobi preconditioner for up to CG_BUDGET
-    iterations.  If that does not reach ``cg_tol``, or if ``factor`` is set,
-    A is factored by sparse LU and CG continues from the current iterate with
-    the factor as preconditioner.  ``cg_max_iter`` (0 means 10 n) caps the
-    iterations of both phases together.
+    A is assembled on ``pattern`` (see :class:`SystemPattern`).  On an
+    unpermuted pattern, CG with a Jacobi preconditioner runs first, from
+    ``x0``, for up to CG_BUDGET iterations; a system it does not solve to
+    ``cg_tol`` is factored by sparse LU with the MMD_AT_PLUS_A ordering and
+    solved directly.  A permuted pattern is already in a fill-reducing order,
+    which only an earlier factorization produces, so A is factored at once in
+    its natural order.  ``f``, ``x0`` and the returned u are in graph order.
+    A relative residual above 10 ``cg_tol`` raises :class:`SolverError`.
 
-    A is assembled on ``pattern`` (see :class:`SystemPattern`).  An
-    unpermuted pattern is factored with the MMD_AT_PLUS_A ordering; a
-    permuted one is already in a fill-reducing order and is factored in its
-    natural order.  ``f``, ``x0`` and the returned u are in graph order.
-
-    When ``stats`` is given, the CG iterations of both phases are stored under
+    When ``stats`` is given, the Jacobi CG iterations are stored under
     ``stats["cg_iters"]`` and whether A was factored under ``stats["factored"]``.
     A factored solve adds ``stats["factor_nnz"]``, the nonzeros of L and U,
     and, if it computed an ordering, ``stats["perm_c"]``.
@@ -148,34 +145,25 @@ def solve_u(
     if pattern is None:
         pattern = SystemPattern(graph)
     A = system_matrix(graph, z, lam, eps, pattern)
-    b, u = f, x0
-    if pattern.perm is not None:
-        b = np.empty_like(f)
-        b[pattern.perm] = f
-        if x0 is not None:
-            u = np.empty_like(f)
-            u[pattern.perm] = x0
-    maxiter = cg_max_iter if cg_max_iter > 0 else 10 * graph.n
     count = [0]
+    if pattern.perm is None:
+        b = f
 
-    def _tick(_):
-        count[0] += 1
+        def _tick(_):
+            count[0] += 1
 
-    if not factor:
         inv_diag = 1.0 / A.diagonal()
         M = spla.LinearOperator(A.shape, matvec=lambda r: inv_diag * r, dtype=float)
-        u, info = spla.cg(
-            A, b, x0=u, rtol=cg_tol, atol=0.0, maxiter=min(CG_BUDGET, maxiter), M=M, callback=_tick
-        )
-        # Once the cap is used up there is nothing left to spend on a factor.
-        factor = info != 0 and count[0] < maxiter
+        u, info = spla.cg(A, b, x0=x0, rtol=cg_tol, atol=0.0, maxiter=CG_BUDGET, M=M, callback=_tick)
+        factor = info != 0
+    else:
+        b = np.empty_like(f)
+        b[pattern.perm] = f
+        factor = True
     if factor:
         ordering = "MMD_AT_PLUS_A" if pattern.perm is None else "NATURAL"
         lu = spla.splu(A, permc_spec=ordering, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        M = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-        u, info = spla.cg(
-            A, b, x0=u, rtol=cg_tol, atol=0.0, maxiter=maxiter - count[0], M=M, callback=_tick
-        )
+        u = lu.solve(b)
     if stats is not None:
         stats["cg_iters"] = count[0]
         stats["factored"] = factor
@@ -185,11 +173,8 @@ def solve_u(
                 # A copy: ``lu.perm_c`` is a view that would keep the factor alive.
                 stats["perm_c"] = lu.perm_c.copy()
     residual = np.linalg.norm(A @ u - b) / np.linalg.norm(b)
-    if info != 0 or residual > cg_tol * 10:
-        raise SolverError(
-            f"conjugate gradient did not reach tolerance {cg_tol:g} "
-            f"within {maxiter} iterations (relative residual {residual:.3e})"
-        )
+    if residual > cg_tol * 10:
+        raise SolverError(f"solve did not reach tolerance {cg_tol:g} (relative residual {residual:.3e})")
     return u if pattern.perm is None else u[pattern.perm]
 
 
@@ -219,26 +204,23 @@ def irls_minimize(
     converged = False
     pattern = SystemPattern(graph)
     run = {"cg_iters": 0, "factorizations": 0, "orderings": 0, "factor_nnz": 0}
-    # The systems of a run grow stiffer as z sharpens (tv at n=10k: 176 Jacobi
-    # CG iterations for the first, 580-704 from the fifth on), so once one has
-    # needed the factor, the later ones are factored without trying CG first.
-    factor = False
     it = 0
     for it in range(1, config.irls_max_iter + 1):
         z = update_z(graph, u, spec, config.eps)
         solve: dict = {}
         u = solve_u(
             graph, f, z, config.lam, config.eps,
-            cg_tol=config.cg_tol, cg_max_iter=config.cg_max_iter, x0=u, stats=solve,
-            factor=factor, pattern=pattern,
+            cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern,
         )
-        factor = factor or solve["factored"]
         run["cg_iters"] += solve["cg_iters"]
         if solve["factored"]:
             run["factorizations"] += 1
             run["factor_nnz"] = solve["factor_nnz"]
         if "perm_c" in solve:
-            # Every later system is assembled in the first factor's order.
+            # The systems of a run grow stiffer as z sharpens (tv at n=10k: 176
+            # Jacobi CG iterations for the first, 580-704 from the fifth on), so
+            # every later system is assembled in the first factor's order and
+            # factored without trying CG first.
             run["orderings"] += 1
             pattern = SystemPattern(graph, perm=solve["perm_c"])
         if not np.all(np.isfinite(u)):

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -114,6 +117,15 @@ class TestDenoise:
         path = tmp_path / "pts.csv"
         write_cloud_csv(path, PointCloud(points=np.random.default_rng(0).random((10, 2))))
         assert run("denoise", "--input", path, "--out", tmp_path / "u.csv") == 2
+
+    def test_truth_length_mismatch_exit_2_before_solving(self, synth_files, tmp_path, capsys):
+        cloud_path, _ = synth_files
+        truth = tmp_path / "truth.csv"
+        truth.write_text("truth\n" + "0.5\n" * 100)
+        out = tmp_path / "u.csv"
+        assert run("denoise", "--input", cloud_path, "--out", out, "--truth", truth) == 2
+        assert "100 values, expected 400" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_solver_failure_exit_3(self, synth_files, tmp_path):
@@ -556,6 +568,16 @@ def _readme_cli_lines():
             if line.startswith("gms "):
                 lines.append(line)
     return lines
+
+
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate (and scipy.optimize behind it) is needed only by the
+    # quadrature of the continuum constants, not at every start.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, gms.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_readme_has_cli_recipes():

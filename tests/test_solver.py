@@ -130,15 +130,15 @@ class TestSystemPattern:
         z = update_z(graph, f, spec, config.eps)
         direct = spla.spsolve(system_matrix(graph, z, 5.0, config.eps), f)
         first = {}
-        solve_u(graph, f, z, 5.0, config.eps, stats=first, factor=True)
-        assert first["perm_c"].base is None  # holds no reference to the factor
+        solve_u(graph, f, z, 5.0, config.eps, stats=first)
+        assert first["factored"] and first["perm_c"].base is None  # holds no reference to the factor
         for perm in (first["perm_c"], rng.permutation(graph.n)):
             stats = {}
             u = solve_u(
-                graph, f, z, 5.0, config.eps, cg_tol=1e-10, stats=stats, factor=True,
-                pattern=SystemPattern(graph, perm=perm), x0=f,
+                graph, f, z, 5.0, config.eps, cg_tol=1e-10, stats=stats,
+                pattern=SystemPattern(graph, perm=perm),
             )
-            assert stats["factored"] and "perm_c" not in stats
+            assert stats["factored"] and stats["cg_iters"] == 0 and "perm_c" not in stats
             assert np.linalg.norm(u - direct) <= 1e-10 * np.linalg.norm(direct)
         assert stats["factor_nnz"] > first["factor_nnz"]  # a random order fills in more
 
@@ -173,8 +173,17 @@ class TestSolveU:
         n = 40
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         f = rng.random(n)
+        stats = {}
+        # Jacobi CG's recursive residual meets the tolerance; the true one does not.
         with pytest.raises(SolverError):
-            solve_u(g, f, np.ones(g.n_edges), 1000.0, 0.3, cg_tol=1e-15, cg_max_iter=1)
+            solve_u(g, f, np.ones(g.n_edges), 1000.0, 0.3, cg_tol=1e-300, stats=stats)
+        assert not stats["factored"]
+        # The budget runs out, and the factored solve cannot meet it either.
+        graph, f, spec, config = stiff_tv_case()
+        z = update_z(graph, f, spec, config.eps)
+        with pytest.raises(SolverError):
+            solve_u(graph, f, z, 5.0, config.eps, cg_tol=1e-300, stats=stats)
+        assert stats["cg_iters"] == CG_BUDGET and stats["factored"]
 
     def test_cg_iter_stats(self, rng):
         n = 40
@@ -207,24 +216,14 @@ class TestFactoredSolve:
         direct = spla.spsolve(system_matrix(graph, z, lam, eps).tocsc(), f)
         assert np.linalg.norm(u - direct) <= 1e-10 * np.linalg.norm(direct)
 
-    def test_cg_iters_count_both_phases(self, stiff_system):
+    def test_cg_iters_count_jacobi_only(self, stiff_system):
         graph, f, z, lam, eps = stiff_system
         stats = {}
         solve_u(graph, f, z, lam, eps, stats=stats)
-        assert stats["factored"] and stats["cg_iters"] > CG_BUDGET
-        factored_only = {}
-        solve_u(graph, f, z, lam, eps, stats=factored_only, factor=True)
-        assert factored_only["factored"] and 1 <= factored_only["cg_iters"] <= 3
-
-    def test_cap_covers_both_phases(self, stiff_system):
-        graph, f, z, lam, eps = stiff_system
-        # The budget uses up the cap: no factorization, the solve fails.
-        stats = {}
-        with pytest.raises(SolverError):
-            solve_u(graph, f, z, lam, eps, cg_max_iter=CG_BUDGET, stats=stats)
-        assert stats == {"cg_iters": CG_BUDGET, "factored": False}
-        solve_u(graph, f, z, lam, eps, cg_max_iter=CG_BUDGET + 3, stats=stats)
-        assert stats["factored"] and stats["cg_iters"] <= CG_BUDGET + 3
+        assert stats["factored"] and stats["cg_iters"] == CG_BUDGET
+        permuted = {}
+        solve_u(graph, f, z, lam, eps, stats=permuted, pattern=SystemPattern(graph, perm=stats["perm_c"]))
+        assert permuted["factored"] and permuted["cg_iters"] == 0
 
     def test_irls_reruns_bit_identical(self):
         graph, f, spec, config = stiff_tv_case()
@@ -234,8 +233,9 @@ class TestFactoredSolve:
         assert a.energy_trace == b.energy_trace
         # the run did switch to the factor, and kept it once it had needed it
         iters = [entry["cg_iters"] for entry in a.energy_trace[1:]]
-        first = next(k for k, c in enumerate(iters) if c > CG_BUDGET)
-        assert all(c <= 3 for c in iters[first + 1 :])
+        first = iters.index(CG_BUDGET)
+        assert all(c < CG_BUDGET for c in iters[:first])
+        assert first + 1 < len(iters) and all(c == 0 for c in iters[first + 1 :])
 
 
 class TestOneOrderingPerRun:
