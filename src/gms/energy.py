@@ -1,8 +1,9 @@
 """Discrete energy evaluation in both parameterizations.
 
 The regularizer sums over ordered pairs (i, j); with the symmetric edge list
-each stored edge contributes twice.  Terms are accumulated with math.fsum in
-sorted edge order, so results are deterministic bit-for-bit.
+each stored edge contributes twice.  Terms are summed exactly and rounded
+once (``exact_sum``), so results do not depend on the summation order and are
+deterministic bit-for-bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .core import ValidationError, ZetaSpec, zeta_value
 from .graph import SparseGraph
 
-__all__ = ["EnergyBreakdown", "pair_terms", "gms_energy", "objective_sec6", "objective_sec1"]
+__all__ = ["EnergyBreakdown", "exact_sum", "pair_terms", "gms_energy", "objective_sec6", "objective_sec1"]
 
 
 class SingularityError(ValueError):
@@ -31,6 +32,37 @@ class EnergyBreakdown:
     @property
     def total(self) -> float:
         return self.fidelity + self.regularizer
+
+
+def exact_sum(x) -> float:
+    """Correctly rounded sum of the entries of x: ``math.fsum`` without leaving numpy.
+
+    Each finite term is m * 2**(e - 53) with an integer |m| < 2**53.  The m
+    are split into 26-bit halves, and each half is summed per exponent by one
+    ``np.bincount``, exactly while there are fewer than 2**26 terms.  The bins
+    are combined as one Python integer, which is rounded to float once, so the
+    result is bit-identical to ``math.fsum`` wherever that returns a value
+    (fsum also raises OverflowError when only a partial sum overflows).
+    Non-finite input and larger arrays go to ``math.fsum`` itself.
+    """
+    x = np.ravel(np.asarray(x, dtype=float))
+    if x.size == 0:
+        return 0.0
+    if x.size >= 2**26 or not np.all(np.isfinite(x)):
+        return math.fsum(x.tolist())
+    mant, exp = np.frexp(x)
+    mant *= 2.0**53  # integers below 2**53 in magnitude, held exactly
+    hi = np.floor(mant * 2.0**-26)
+    low = int(exp.min())
+    bins = (exp - low).astype(np.intp)
+    his = np.bincount(bins, weights=hi).tolist()
+    los = np.bincount(bins, weights=mant - hi * 2.0**26).tolist()
+    total = 0
+    for b, (h, lo) in enumerate(zip(his, los)):
+        if h or lo:
+            total += ((int(h) << 26) + int(lo)) << b
+    shift = low - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def _check_u(graph: SparseGraph, u) -> np.ndarray:
@@ -71,7 +103,7 @@ def gms_energy(
     if graph.n_edges == 0:
         return 0.0
     terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, p, q)
-    return 2.0 * math.fsum(terms.tolist()) / (eps * graph.n**2)
+    return 2.0 * exact_sum(terms) / (eps * graph.n**2)
 
 
 def objective_sec6(
@@ -88,11 +120,11 @@ def objective_sec6(
     f = np.asarray(f, dtype=float)
     if f.shape != u.shape:
         raise ValidationError("labels must match u in length")
-    fidelity = math.fsum(((u - f) ** 2).tolist())
+    fidelity = exact_sum((u - f) ** 2)
     if graph.n_edges:
         du = u[graph.ii] - u[graph.jj]
         terms = zeta_value(spec, du**2 / eps) * graph.weights
-        reg = 2.0 * math.fsum(terms.tolist()) / (lam * eps * graph.n)
+        reg = 2.0 * exact_sum(terms) / (lam * eps * graph.n)
     else:
         reg = 0.0
     return EnergyBreakdown(fidelity=fidelity, regularizer=reg, parameterization="sec6")
@@ -115,7 +147,7 @@ def objective_sec1(
     f = np.asarray(f, dtype=float)
     if f.shape != u.shape:
         raise ValidationError("labels must match u in length")
-    fidelity = lam / graph.n * math.fsum(((u - f) ** 2).tolist())
+    fidelity = lam / graph.n * exact_sum((u - f) ** 2)
     return EnergyBreakdown(
         fidelity=fidelity,
         regularizer=gms_energy(graph, u, spec, eps, p, q),

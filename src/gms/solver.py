@@ -13,6 +13,14 @@ by placing its values into that pattern.  The first factorization of a run
 computes a fill-reducing ordering; the pattern is then rebuilt in that
 vertex order, so every later system comes out already permuted and is
 factored without recomputing an ordering.
+
+For the tv saturation the sec6 objective is strictly convex, and the IRLS
+map u -> solve(A(z(u)), f) is accelerated by safeguarded type-II Anderson
+mixing (Walker & Ni 2011) over the last ANDERSON_DEPTH residual differences:
+the mixed iterate is taken only where its energy is below the plain IRLS
+iterate's, so the energy trace never rises.  The other saturations keep
+plain IRLS; a quadratic one has z = 1, so its first solve is the minimizer
+and the run stops there.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ __all__ = [
 # iterations) never reach it and the tv systems (176-704) pass it.  Later
 # factorizations reuse the ordering and cost about 60% of the first.
 CG_BUDGET = 150
+# Residual differences mixed by an Anderson step.  At n=10k, tv λ=438, seed 0
+# this cuts the IRLS iterations (one factorization each) from 33 to 18.
+ANDERSON_DEPTH = 3
 
 
 class SolverError(RuntimeError):
@@ -178,18 +189,56 @@ def solve_u(
     return u if pattern.perm is None else u[pattern.perm]
 
 
+def _anderson_step(history: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray | None:
+    """Type-II Anderson candidate from the plain iterates and residuals (g_k, r_k), oldest first.
+
+    With dg_j, dr_j the differences of consecutive entries and (g, r) the
+    last one, the candidate is g - sum_j gamma_j dg_j, where gamma minimizes
+    |r - sum_j gamma_j dr_j| through its normal equations.  The Gram entries
+    are elementwise products summed by ``np.sum``, whose order does not
+    depend on the thread count (BLAS dot products and gemv may), so reruns
+    are bit-identical.  Returns None when the Gram system is singular or
+    gamma or the candidate is not finite.
+    """
+    g, r = history[-1]
+    steps = list(zip(history, history[1:]))
+    dg = [new[0] - old[0] for old, new in steps]
+    dr = [new[1] - old[1] for old, new in steps]
+    m = len(dr)
+    gram = np.empty((m, m))
+    rhs = np.empty(m)
+    for a in range(m):
+        rhs[a] = np.sum(dr[a] * r)
+        for b in range(a, m):
+            gram[a, b] = gram[b, a] = np.sum(dr[a] * dr[b])
+    try:
+        gamma = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(gamma)):
+        return None
+    u = g.copy()
+    for gamma_j, dg_j in zip(gamma.tolist(), dg):
+        u -= gamma_j * dg_j
+    return u if np.all(np.isfinite(u)) else None
+
+
 def irls_minimize(
     graph: SparseGraph, f, spec: ZetaSpec, config: SolverConfig, stats: dict | None = None
 ) -> Solution:
     """Alternating z / u minimization starting from u = f.
 
     Stops when the relative decrease of the sec6 total energy drops below
-    config.irls_tol, or after config.irls_max_iter iterations.
+    config.irls_tol, or after config.irls_max_iter iterations; a quadratic
+    saturation stops after its first, exact, solve.  On tv_smoothed each
+    plain iterate g = solve(A(z(u)), f) is replaced by its Anderson mix
+    when that has lower energy (see :func:`_anderson_step`); the trace and
+    the stop rule use the iterate kept.
 
     When ``stats`` is given it receives ``irls_iters``, ``cg_iters`` (summed
     over the run), ``factorizations``, ``orderings`` (fill-reducing orderings
-    computed, at most one) and ``factor_nnz`` (nonzeros of L and U of the
-    last factor, 0 if none).
+    computed, at most one), ``factor_nnz`` (nonzeros of L and U of the last
+    factor, 0 if none) and ``accelerated`` (Anderson iterates kept).
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (graph.n,):
@@ -203,12 +252,14 @@ def irls_minimize(
     prev_total = e0.total
     converged = False
     pattern = SystemPattern(graph)
-    run = {"cg_iters": 0, "factorizations": 0, "orderings": 0, "factor_nnz": 0}
+    run = {"cg_iters": 0, "factorizations": 0, "orderings": 0, "factor_nnz": 0, "accelerated": 0}
+    accelerate = spec.kind == "tv_smoothed"
+    history: list[tuple[np.ndarray, np.ndarray]] = []  # the last plain (g, r) pairs
     it = 0
     for it in range(1, config.irls_max_iter + 1):
         z = update_z(graph, u, spec, config.eps)
         solve: dict = {}
-        u = solve_u(
+        g = solve_u(
             graph, f, z, config.lam, config.eps,
             cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern,
         )
@@ -223,9 +274,18 @@ def irls_minimize(
             # factored without trying CG first.
             run["orderings"] += 1
             pattern = SystemPattern(graph, perm=solve["perm_c"])
-        if not np.all(np.isfinite(u)):
+        if not np.all(np.isfinite(g)):
             raise SolverError(f"non-finite iterate at IRLS iteration {it}")
-        e = objective_sec6(graph, u, f, spec, config.lam, config.eps)
+        e = objective_sec6(graph, g, f, spec, config.lam, config.eps)
+        if accelerate:
+            history = [*history[-ANDERSON_DEPTH:], (g, g - u)]
+        u = g
+        mixed = _anderson_step(history) if len(history) > 1 else None
+        if mixed is not None:
+            e_mixed = objective_sec6(graph, mixed, f, spec, config.lam, config.eps)
+            if e_mixed.total < e.total:
+                u, e = mixed, e_mixed
+                run["accelerated"] += 1
         trace.append({
             "iter": it,
             "fidelity": e.fidelity,
@@ -234,9 +294,8 @@ def irls_minimize(
             "cg_iters": solve["cg_iters"],
         })
         denom = max(abs(prev_total), 1e-300)
-        if (prev_total - e.total) / denom < config.irls_tol:
+        if spec.kind == "quadratic" or (prev_total - e.total) / denom < config.irls_tol:
             converged = True
-            prev_total = e.total
             break
         prev_total = e.total
     if stats is not None:

@@ -104,6 +104,19 @@ class TestDenoise:
         run("denoise", "--input", cloud_path, "--out", b, "--lambda", "50")
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("zeta", ["ms", "tv"])
+    def test_outputs_independent_of_thread_count(self, synth_files, tmp_path, zeta):
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            code = run(
+                "denoise", "--input", synth_files[0], "--out", out / "u.csv", "--zeta", zeta, "--lambda", "50",
+                "--trace", out / "trace.jsonl", "--graph-out", out / "graph.txt", "--threads", threads,
+            )
+            assert code == 0
+        for name in ("u.csv", "trace.jsonl", "graph.txt"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_missing_input_exit_2(self, tmp_path, capsys):
         assert run("denoise", "--input", tmp_path / "nope.csv", "--out", tmp_path / "u.csv") == 2
         assert "error" in capsys.readouterr().err
@@ -161,16 +174,18 @@ class TestSolverManifest:
         code = run("denoise", "--input", cloud_path, "--out", out, "--trace", trace, "--zeta", zeta, "--lambda", "50")
         assert code == 0
         stats = json.loads((tmp_path / "u.csv.manifest.json").read_text())["solver"]
-        assert set(stats) == {"irls_iters", "cg_iters", "factorizations", "orderings", "factor_nnz"}
+        assert set(stats) == {"irls_iters", "cg_iters", "factorizations", "orderings", "factor_nnz", "accelerated"}
         entries = [json.loads(line) for line in trace.read_text().splitlines()]
         assert stats["irls_iters"] == len(entries) - 1
         assert f"iterations={stats['irls_iters']} " in capsys.readouterr().out
         assert stats["cg_iters"] == sum(entry["cg_iters"] for entry in entries)
         if zeta == "ms":
             assert stats["factorizations"] == 0 and stats["orderings"] == 0 and stats["factor_nnz"] == 0
+            assert stats["accelerated"] == 0
         else:
             # the tv systems outrun the Jacobi budget: one ordering, then every solve is factored
             assert stats["orderings"] == 1 and stats["factorizations"] >= 1 and stats["factor_nnz"] > 0
+            assert stats["accelerated"] > 0
 
     def test_housing_manifest_records_solver_stats(self, tmp_path):
         csv_path = tmp_path / "houses.csv"

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gms.core import PointCloud, ValidationError, ZetaSpec, zeta_value
-from gms.energy import SingularityError, gms_energy, objective_sec1, objective_sec6
+from gms.energy import SingularityError, exact_sum, gms_energy, objective_sec1, objective_sec6
 from gms.graph import SparseGraph, brute_force_graph
 
 from conftest import random_cloud, small_config
@@ -186,3 +186,53 @@ def test_determinism_bit_exact(rng, ms_spec):
     u = rng.random(n)
     vals = {gms_energy(g, u, ms_spec, 0.3) for _ in range(5)}
     assert len(vals) == 1
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_tiny = st.floats(min_value=-1e-300, max_value=1e-300)  # subnormals included
+
+
+class TestExactSum:
+    """``exact_sum`` is ``math.fsum`` bit for bit wherever fsum returns a value."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.one_of(_finite, _tiny), max_size=80),
+        st.lists(st.integers(0, 79), max_size=40),
+        st.floats(min_value=-60, max_value=60),
+    )
+    def test_matches_fsum(self, values, negate, log_scale):
+        # negated copies of some entries make exact and near-exact cancellation
+        values = values + [-values[k] * (1 + 2.0**-52 * (k % 3 - 1)) for k in negate if k < len(values)]
+        values = values + [v * 2.0**log_scale for v in values[:10]]
+        values = [v for v in values if math.isfinite(v)]  # the scalings above can overflow
+        try:
+            expected = math.fsum(values)
+        except OverflowError:
+            assume(False)
+        assert _bits(exact_sum(np.array(values))) == _bits(expected)
+
+    def test_edge_cases(self):
+        assert _bits(exact_sum(np.array([]))) == _bits(math.fsum([]))
+        assert _bits(exact_sum(np.array([-0.0, -0.0]))) == _bits(math.fsum([-0.0, -0.0]))
+        sub = 5e-324
+        assert exact_sum(np.array([sub, sub, -sub])) == sub
+        assert exact_sum(np.array([1e308, 1e308, -1e308])) == 1e308  # fsum overflows in between
+        with pytest.raises(OverflowError):
+            exact_sum(np.array([1.7e308, 1.7e308]))
+        assert exact_sum(np.array([np.inf, 1.0])) == np.inf
+        assert math.isnan(exact_sum(np.array([np.nan, 1.0])))
+        with pytest.raises(ValueError):
+            exact_sum(np.array([np.inf, -np.inf]))
+
+    def test_matches_fsum_on_energy_terms(self, rng):
+        g = brute_force_graph(random_cloud(rng, 200), small_config(eps=0.3))
+        u, f = rng.random(200), rng.random(200)
+        e = objective_sec6(g, u, f, ZetaSpec("ms_arctan"), 2.0, 0.3)
+        terms = zeta_value(ZetaSpec("ms_arctan"), (u[g.ii] - u[g.jj]) ** 2 / 0.3) * g.weights
+        assert e.fidelity == math.fsum(((u - f) ** 2).tolist())
+        assert e.regularizer == 2.0 * math.fsum(terms.tolist()) / (2.0 * 0.3 * 200)

@@ -9,6 +9,7 @@ from gms.energy import objective_sec6
 from gms.graph import brute_force_graph, build_geometric_graph
 from gms.solver import (
     CG_BUDGET,
+    _anderson_step,
     SolverError,
     SystemPattern,
     detect_edges,
@@ -262,7 +263,9 @@ class TestOneOrderingPerRun:
             "factorizations": len(calls),
             "orderings": 1,
             "factor_nnz": calls[-1][1],
+            "accelerated": stats["accelerated"],
         }
+        assert stats["accelerated"] > 0
 
         calls.clear()
         irls_minimize(graph, f, spec, config)
@@ -292,11 +295,12 @@ class TestIrls:
         f = rng.random(n)
         config = small_config(eps=0.3, irls_tol=1e-14, cg_tol=1e-12)
         sol = irls_minimize(g, f, quad_spec, config)
-        trace = sol.energy_trace
         # z is constant for the quadratic saturation, so iteration 1 already
-        # solves the problem; iteration 2 changes the energy negligibly
-        assert len(trace) >= 3
-        assert abs(trace[2]["total"] - trace[1]["total"]) <= 1e-10 * abs(trace[1]["total"])
+        # solves the problem and the run stops there
+        assert sol.converged and sol.iterations == 1 and len(sol.energy_trace) == 2
+        z = np.ones(g.n_edges)
+        A = system_matrix(g, z, config.lam, config.eps).toarray()
+        np.testing.assert_allclose(sol.u, np.linalg.solve(A, f), rtol=1e-10, atol=1e-12)
 
     def test_monotone_descent_and_tangency(self, rng):
         specs = [ZetaSpec("ms_arctan"), ZetaSpec("tv_smoothed", delta=0.01), ZetaSpec("quadratic")]
@@ -350,6 +354,68 @@ class TestIrls:
         for k, entry in enumerate(sol.energy_trace):
             assert set(entry) == {"iter", "fidelity", "regularizer", "total", "cg_iters"}
             assert entry["iter"] == k
+
+
+def plain_irls(graph, f, spec, config):
+    """IRLS without acceleration, with the solver's stop rule: (u, trace, factorizations)."""
+    u = np.asarray(f, dtype=float).copy()
+    pattern = SystemPattern(graph)
+
+    def entry(it, cg_iters):
+        e = objective_sec6(graph, u, f, spec, config.lam, config.eps)
+        return {"iter": it, "fidelity": e.fidelity, "regularizer": e.regularizer, "total": e.total, "cg_iters": cg_iters}
+
+    trace = [entry(0, 0)]
+    factorizations = 0
+    for it in range(1, config.irls_max_iter + 1):
+        z = update_z(graph, u, spec, config.eps)
+        solve = {}
+        u = solve_u(graph, f, z, config.lam, config.eps, cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern)
+        factorizations += solve["factored"]
+        if "perm_c" in solve:
+            pattern = SystemPattern(graph, perm=solve["perm_c"])
+        trace.append(entry(it, solve["cg_iters"]))
+        prev, total = trace[-2]["total"], trace[-1]["total"]
+        if (prev - total) / max(abs(prev), 1e-300) < config.irls_tol:
+            break
+    return u, trace, factorizations
+
+
+class TestAnderson:
+    def test_tv_accelerated_no_worse_than_plain(self):
+        graph, f, spec, config = stiff_tv_case()
+        stats = {}
+        sol = irls_minimize(graph, f, spec, config, stats=stats)
+        u_plain, trace_plain, factorizations_plain = plain_irls(graph, f, spec, config)
+        assert sol.converged and stats["accelerated"] > 0
+        assert sol.energy_trace[-1]["total"] <= trace_plain[-1]["total"]
+        assert stats["factorizations"] < factorizations_plain
+        totals = [entry["total"] for entry in sol.energy_trace]
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
+        # a strictly convex objective: both runs approach the one minimizer
+        assert np.max(np.abs(sol.u - u_plain)) < 1e-2 * np.max(np.abs(f))
+        again = irls_minimize(graph, f, spec, config)
+        assert again.u.tobytes() == sol.u.tobytes() and again.energy_trace == sol.energy_trace
+
+    @pytest.mark.parametrize("kind", ["ms_arctan", "capped_linear"])
+    def test_bounded_saturations_stay_plain(self, kind):
+        case = generate_synthetic(600, seed=1)
+        config = SolverConfig(lam=50.0, eps=0.07, sigma=5.0, k_max=8, irls_tol=1e-6)
+        graph = build_geometric_graph(case.cloud, config)
+        f, spec = case.cloud.labels, ZetaSpec(kind)
+        stats = {}
+        sol = irls_minimize(graph, f, spec, config, stats=stats)
+        u_plain, trace_plain, _ = plain_irls(graph, f, spec, config)
+        assert stats["accelerated"] == 0 and sol.iterations > 2
+        assert sol.u.tobytes() == u_plain.tobytes()
+        assert sol.energy_trace == trace_plain
+
+    def test_candidate_dropped_when_singular(self):
+        g, r = np.arange(4.0), np.ones(4)
+        # equal residuals: the Gram matrix is zero
+        assert _anderson_step([(g - 1, r), (g, r)]) is None
+        # dr = 2 r, so gamma = 1/2 and the candidate is g - dg / 2
+        np.testing.assert_array_equal(_anderson_step([(g - 1, -r), (g, r)]), g - 0.5)
 
 
 class TestTwoClusterToy:
