@@ -68,7 +68,9 @@ def _write_manifest(args, record: dict, duration: float) -> None:
     """Write ``<--out>.manifest.json``: the resolved flags plus ``record``.
 
     ``record`` is what the subcommand returned: its ``inputs`` and ``outputs``
-    and, for denoise and housing, the ``graph`` and ``solver`` statistics.
+    and, for denoise and housing, the ``graph`` and ``solver`` statistics; for
+    gamma and the spike counterexample, the candidate-pair counts of each
+    energy evaluation (``pairs``, one entry per n or k).
     """
     manifest = {
         "command": args.subcommand,
@@ -280,13 +282,15 @@ def cmd_gamma(args) -> dict:
             )
     for r in rows:
         print(f"n={r['n']} eps={r['eps']:.4f} ratio={r['ratio']:.4f}")
-    return {"inputs": [], "outputs": [args.out]}
+    pairs = [{"n": r["n"], **r["pairs"]} for r in rows]
+    return {"inputs": [], "outputs": [args.out], "pairs": pairs}
 
 
 def cmd_consistency(args) -> dict:
     n_list = _int_list(args.n, "--n")
     k_list = _int_list(args.k, "--k")
     outputs = []
+    record = {"inputs": [], "outputs": outputs}
     if args.mode in ("binning", "both"):
         rows = density_deviation_curve(n_list, d=args.d, seed=args.seed)
         path = args.out + ".binning.csv"
@@ -302,9 +306,11 @@ def cmd_consistency(args) -> dict:
             print(f"n={r['n']} sup|density-1|={r['sup_deviation']:.4f}")
     if args.mode in ("counterexample", "both"):
         path = args.out + ".counterexample.jsonl"
+        record["pairs"] = []
         with open(path, "w") as fh:
             for k in k_list:
                 res = dyadic_counterexample(k, alpha=args.alpha, d=args.counter_d)
+                record["pairs"].append({"k": res["k"], **res["pairs"]})
                 fh.write(
                     json.dumps({"k": res["k"], "d": res["d"], "l1": res["l1"],
                                 "energy": res["energy"], "max_u": res["max_u"]})
@@ -312,7 +318,7 @@ def cmd_consistency(args) -> dict:
                 )
                 print(f"k={k} l1={res['l1']:.4f} energy={res['energy']:.4f}")
         outputs.append(path)
-    return {"inputs": [], "outputs": outputs}
+    return record
 
 
 # Fixed color ramp for the SVG scatter: linear blue (low) to red (high).

@@ -122,8 +122,8 @@ def dyadic_counterexample(
     Grid points are the 2^{kd} barycenters of the dyadic subcubes; the function
     is the normalized indicator of the ball of radius 2^{-k/2} at the origin,
     evaluated with eps_k = 2^{-k alpha} and the capped-linear saturation
-    min(t, 1).  Returns the L^1 norm, the energy, the spike count, and the
-    sup norm.
+    min(t, 1).  Returns the L^1 norm, the energy, the spike count, the sup
+    norm, and the candidate-pair counts of the energy evaluation (``pairs``).
     """
     if not (0.5 < alpha < 1.0):
         raise ValidationError("alpha must lie in (1/2, 1)")
@@ -143,8 +143,9 @@ def dyadic_counterexample(
     u = in_ball / (omega_d * r_k**d)
     l1 = float(u.sum() / n)
     spec = ZetaSpec("capped_linear")
+    pairs: dict = {}
     energy = sampled_energy(
-        points, u, spec, eps_k, p, q, sigma=sigma, cutoff_multiplier=cutoff_multiplier
+        points, u, spec, eps_k, p, q, sigma=sigma, cutoff_multiplier=cutoff_multiplier, stats=pairs
     )
     return {
         "k": k,
@@ -156,4 +157,5 @@ def dyadic_counterexample(
         "l1": l1,
         "energy": energy,
         "max_u": float(u.max()),
+        "pairs": pairs,
     }

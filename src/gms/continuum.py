@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .core import ValidationError, ZetaSpec, zeta_derivative, zeta_limit
+from .core import ValidationError, ZetaSpec, zeta_derivative, zeta_limit, zeta_value
 from .energy import pair_terms
 
 __all__ = [
@@ -230,24 +230,20 @@ def continuum_ms(constants: LimitConstants, case, npts: int = 256) -> float:
 # Upper bound on the candidate pairs (rows x columns) compared in one block.
 # It keeps each float temporary at 256 KB, within the CPU caches: on a
 # 2-core x86 box the gamma-step enumeration (2-D, n=64k, 1.0e8 pairs) took
-# 2.1 s with 2**15 and 3.2 s with 2**17.
+# 2.1 s with 2**15 and 3.2 s with 2**17.  A block is also the unit that is
+# skipped when its rows and columns all carry one value, so the partition
+# stays the same whether or not values are given.
 _BLOCK_CANDIDATES = 1 << 15
 
 
-def _cell_pairs(points: np.ndarray, radius: float):
-    """Yield (i_idx, j_idx, r) chunks covering every unordered pair within radius.
+def _cell_order(points: np.ndarray, radius: float):
+    """The permutation into cell order, and the cell coordinates in that order.
 
     Points are bucketed into cells of side just over radius/2, so a pair within
     the radius is at most two cells apart on every axis.  Cells are keyed by
     their integer coordinates and sorted lexicographically, so a run of
     neighbor cells along the last axis is one contiguous strip of points.
-    Each occupied cell is compared against its own row of cells from itself
-    forward and against the two-cells-either-side strip of every
-    lexicographically forward neighbor row, so each pair appears exactly once.
-    Squared distances are summed one coordinate at a time, in axis order.
     """
-    n, d = points.shape
-    r2 = radius**2
     lo = points.min(axis=0)
     scale = float(np.max(np.abs(points)))
     # The margin covers rounding in the cell index and in d2 <= r2; the
@@ -255,7 +251,30 @@ def _cell_pairs(points: np.ndarray, radius: float):
     side = max(0.5 * radius * (1.0 + 2.0**-40) + scale * 2.0**-40, np.finfo(float).tiny)
     cells = np.floor((points - lo) / side).astype(np.int64)
     order = np.lexsort(cells.T[::-1])
-    cells = cells[order]
+    return order, cells[order]
+
+
+def _cell_pairs(
+    points: np.ndarray, order: np.ndarray, cells: np.ndarray, radius: float, values=None, stats=None
+):
+    """Yield (i_idx, j_idx, r) chunks covering every unordered pair within radius.
+
+    ``order`` and ``cells`` are what ``_cell_order`` gives for ``points``.
+    The yielded indices are positions in cell order, so ``order`` maps them
+    back to rows of ``points``.  Each occupied cell is compared against
+    its own row of cells from itself forward and against the
+    two-cells-either-side strip of every lexicographically forward neighbor
+    row, so each pair appears exactly once.  A strip is compared in blocks of
+    at most ``_BLOCK_CANDIDATES`` candidate pairs.  Squared distances are
+    summed one coordinate at a time, in axis order.
+
+    When ``values`` (in cell order) is given, a block whose rows and columns
+    all carry one value is skipped before any distance is computed.  When
+    ``stats`` is given, it receives the candidate pairs (rows x columns,
+    summed over blocks) ``compared`` and ``skipped``.
+    """
+    n, d = points.shape
+    r2 = radius**2
     coords = [points[order, k] for k in range(d)]
 
     new_cell = np.ones(n, dtype=bool)
@@ -270,14 +289,32 @@ def _cell_pairs(points: np.ndarray, radius: float):
         rows.setdefault(tuple(key[:-1]), (c, []))[1].append(key[-1])
     forward = [o for o in itertools.product(range(-2, 3), repeat=d - 1) if o > (0,) * (d - 1)]
 
+    if values is not None:
+        # run_start[k]: first index of the run of equal values holding k, so
+        # values[a:b] is one value exactly when run_start[b - 1] <= a
+        new_run = np.ones(n, dtype=bool)
+        new_run[1:] = values[1:] != values[:-1]
+        run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
+    compared = skipped = 0
+
     def strip(s0, e0, s1, e1, same):
         # points s0:e0 against s1:e1, in blocks of at most _BLOCK_CANDIDATES
+        nonlocal compared, skipped
         cstep = min(e1 - s1, _BLOCK_CANDIDATES)
         rstep = _BLOCK_CANDIDATES // cstep
         for i0 in range(s0, e0, rstep):
             i1 = min(e0, i0 + rstep)
             for j0 in range(s1, e1, cstep):
                 j1 = min(e1, j0 + cstep)
+                if (
+                    values is not None
+                    and run_start[i1 - 1] <= i0
+                    and run_start[j1 - 1] <= j0
+                    and values[i0] == values[j0]
+                ):
+                    skipped += (i1 - i0) * (j1 - j0)
+                    continue
+                compared += (i1 - i0) * (j1 - j0)
                 d2 = np.subtract.outer(coords[0][i0:i1], coords[0][j0:j1])
                 d2 *= d2
                 for x in coords[1:]:
@@ -295,7 +332,7 @@ def _cell_pairs(points: np.ndarray, radius: float):
                     keep = ia < ib
                     ia, ib, r = ia[keep], ib[keep], r[keep]
                 if len(ia):
-                    yield order[ia], order[ib], r
+                    yield ia, ib, r
 
     for key, s0, e0 in zip(keys, starts, ends):
         *lead, last = key
@@ -311,6 +348,8 @@ def _cell_pairs(points: np.ndarray, radius: float):
             k1 = first + bisect.bisect_right(lasts, last + 2)
             if k0 < k1:
                 yield from strip(s0, e0, starts[k0], ends[k1 - 1], False)
+    if stats is not None:
+        stats.update(compared=compared, skipped=skipped)
 
 
 def sampled_energy(
@@ -322,6 +361,7 @@ def sampled_energy(
     q: float = 0.0,
     sigma: float = 1.0,
     cutoff_multiplier: float = 3.0,
+    stats: dict | None = None,
 ) -> float:
     """Fidelity-free energy evaluated directly from a point cloud.
 
@@ -330,8 +370,14 @@ def sampled_energy(
     edge list is never materialized.  The pairs come from a cell list with
     cells of side radius/2, compared as strips of neighbor cells along the
     last axis; each block holds a bounded number of candidate pairs, so memory
-    stays fixed however many pairs there are.  Block sums are combined with
-    math.fsum.
+    stays fixed however many pairs there are.  Values are gathered once into
+    cell order and read there with the kernel's indices.  When zeta(0) = 0
+    and q = 0, a pair with u_i = u_j adds exactly 0, so blocks whose rows and
+    columns all carry one value are skipped unevaluated.  Block sums are
+    combined with math.fsum, so skipping leaves the result bit for bit.
+
+    When ``stats`` is given, it receives the candidate pairs ``compared``
+    and ``skipped`` (see ``_cell_pairs``).
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -345,10 +391,15 @@ def sampled_energy(
         raise ValidationError("the cutoff radius cutoff_multiplier * sigma * eps must be positive")
     if not np.all(np.isfinite(points)):
         raise ValidationError("point coordinates must be finite")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("values must be finite")
+    order, cells = _cell_order(points, radius)
+    u = values[order]
+    skip_constant = q == 0 and zeta_value(spec, 0.0) == 0.0
     pieces = []
-    for ia, ib, r in _cell_pairs(points, radius):
+    for ia, ib, r in _cell_pairs(points, order, cells, radius, u if skip_constant else None, stats):
         w = np.exp(-(r**2) / (2.0 * sigma**2 * eps**2))
-        pieces.append(float(np.sum(pair_terms(values, ia, ib, r, w, spec, eps, p, q))))
+        pieces.append(float(np.sum(pair_terms(u, ia, ib, r, w, spec, eps, p, q, labels=order))))
     return 2.0 * math.fsum(pieces) * eps ** (-d) / (eps * n**2)
 
 
@@ -368,7 +419,8 @@ def gamma_experiment(
     The kernel width ``sigma`` trades statistical noise against the finite-eps
     saturation bias of bounded zeta; the default is 0.2 for smooth cases and
     1.0 for step cases, with the continuum constants computed for the same
-    truncated kernel.
+    truncated kernel.  Each row's ``pairs`` holds the candidate-pair counts
+    of its ``sampled_energy`` call.
     """
     if any(n < 1 for n in n_list):
         raise ValidationError("sample sizes must be positive")
@@ -386,8 +438,9 @@ def gamma_experiment(
         eps = eps_rule(n)
         x = rng.random((n, d))
         u = case.values(x)
+        pairs: dict = {}
         discrete = sampled_energy(
-            x, u, spec, eps, p, q, sigma=sigma, cutoff_multiplier=cutoff_multiplier
+            x, u, spec, eps, p, q, sigma=sigma, cutoff_multiplier=cutoff_multiplier, stats=pairs
         )
         rows.append(
             {
@@ -397,6 +450,7 @@ def gamma_experiment(
                 "continuum": continuum,
                 "ratio": discrete / continuum,
                 "seed": int(seed),
+                "pairs": pairs,
             }
         )
     return rows

@@ -73,11 +73,14 @@ def _check_u(graph: SparseGraph, u) -> np.ndarray:
 
 
 def pair_terms(
-    u: np.ndarray, ii, jj, distances, weights, spec: ZetaSpec, eps: float, p: float, q: float
+    u: np.ndarray, ii, jj, distances, weights, spec: ZetaSpec, eps: float, p: float, q: float,
+    labels=None,
 ) -> np.ndarray:
     """Per-pair terms zeta(eps^{1-p+q} |u_i - u_j|^p / r^q) * w of the general energy.
 
-    Raises SingularityError when q > 0 and some pair has zero distance.
+    Raises SingularityError when q > 0 and some pair has zero distance; the
+    message names the pair by ``labels[i]`` and ``labels[j]`` when ``labels``
+    is given (for indices into a permuted ``u``), else by i and j.
     """
     du = np.abs(u[ii] - u[jj])
     arg = eps ** (1.0 - p + q) * du**p
@@ -85,8 +88,9 @@ def pair_terms(
         zero = distances == 0
         if np.any(zero):
             k = int(np.argmax(zero))
+            i, j = (ii[k], jj[k]) if labels is None else (labels[ii[k]], labels[jj[k]])
             raise SingularityError(
-                f"pair ({ii[k]}, {jj[k]}) has zero distance; "
+                f"pair ({i}, {j}) has zero distance; "
                 "the q > 0 energy is singular there"
             )
         arg = arg / distances**q

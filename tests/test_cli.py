@@ -4,11 +4,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gms.cli import (
     _read_values_csv,
@@ -105,17 +108,24 @@ class TestDenoise:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("zeta", ["ms", "tv"])
-    def test_outputs_independent_of_thread_count(self, synth_files, tmp_path, zeta):
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            out.mkdir()
-            code = run(
-                "denoise", "--input", synth_files[0], "--out", out / "u.csv", "--zeta", zeta, "--lambda", "50",
-                "--trace", out / "trace.jsonl", "--graph-out", out / "graph.txt", "--threads", threads,
-            )
-            assert code == 0
-        for name in ("u.csv", "trace.jsonl", "graph.txt"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    @settings(max_examples=4, deadline=None)
+    @example(n=400, seed=7)
+    @given(n=st.integers(20, 400), seed=st.integers(0, 2**16))
+    def test_outputs_independent_of_thread_count(self, zeta, n, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cloud = tmp / "cloud.csv"
+            assert run("synth", "--n", n, "--seed", seed, "--out", cloud) == 0
+            for threads in ("1", "2"):
+                out = tmp / threads
+                out.mkdir()
+                code = run(
+                    "denoise", "--input", cloud, "--out", out / "u.csv", "--zeta", zeta, "--lambda", "50",
+                    "--trace", out / "trace.jsonl", "--graph-out", out / "graph.txt", "--threads", threads,
+                )
+                assert code == 0
+            for name in ("u.csv", "trace.jsonl", "graph.txt"):
+                assert (tmp / "1" / name).read_bytes() == (tmp / "2" / name).read_bytes()
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         assert run("denoise", "--input", tmp_path / "nope.csv", "--out", tmp_path / "u.csv") == 2
@@ -417,6 +427,15 @@ class TestGamma:
         assert lines[0] == "n,eps,discrete,continuum,ratio,seed"
         assert len(lines) == 3
         assert "ratio=" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "gamma.csv.manifest.json").read_text())
+        assert [entry["n"] for entry in manifest["pairs"]] == [200, 400]
+        assert all(entry["compared"] > 0 for entry in manifest["pairs"])
+
+    def test_step_manifest_records_skipped_pairs(self, tmp_path):
+        out = tmp_path / "gamma.csv"
+        assert run("gamma", "--case", "step", "--n", "2000", "--out", out) == 0
+        (entry,) = json.loads((tmp_path / "gamma.csv.manifest.json").read_text())["pairs"]
+        assert entry["n"] == 2000 and entry["skipped"] > entry["compared"] > 0
 
 
 class TestConsistency:
@@ -432,6 +451,8 @@ class TestConsistency:
         assert run("consistency", "--mode", "counterexample", "--k", "3", "--out", stem) == 0
         rows = [json.loads(l) for l in (tmp_path / "cons.counterexample.jsonl").read_text().splitlines()]
         assert rows[0]["k"] == 3 and 2**-3 <= rows[0]["l1"] <= 2**3
+        (entry,) = json.loads((tmp_path / "cons.manifest.json").read_text())["pairs"]
+        assert entry["k"] == 3 and entry["compared"] > 0 and entry["skipped"] > 0
 
 
 class TestHousing:

@@ -1,10 +1,12 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gms import continuum
 from gms.core import PointCloud, ValidationError, ZetaSpec
 from gms.continuum import (
     DivergentIntegralError,
@@ -23,6 +25,7 @@ from gms.continuum import (
     sphere_moment,
     sphere_moment_mc,
     theta_eta,
+    _cell_order,
     _cell_pairs,
 )
 from gms.energy import SingularityError, gms_energy
@@ -172,6 +175,40 @@ class TestSampledEnergy:
         # q = 0 has no singularity at zero distance
         assert math.isfinite(sampled_energy(pts, u, ms_spec, 0.2))
 
+    def test_zero_distance_singularity_names_input_labels(self, rng, ms_spec):
+        # Equal values on the duplicated pair must not hide it: q > 0 skips no
+        # block.  Cell order permutes the points, and the message must name
+        # them as the caller numbered them.
+        pts = rng.random((200, 2))
+        pts[150] = pts[17]
+        with pytest.raises(SingularityError, match=r"pair \((17, 150|150, 17)\)"):
+            sampled_energy(pts, np.ones(200), ms_spec, 0.05, p=2.0, q=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, rng, ms_spec, bad):
+        u = rng.random(200)
+        u[42] = bad
+        with pytest.raises(ValidationError, match="values must be finite"):
+            sampled_energy(rng.random((200, 2)), u, ms_spec, 0.1)
+        # an all-infinite cloud would otherwise look constant and read 0
+        with pytest.raises(ValidationError):
+            sampled_energy(rng.random((50, 2)), np.full(50, bad), ms_spec, 0.1)
+
+    def test_pair_counts(self, rng, ms_spec, tv_spec):
+        # A step skips the blocks on either side of it; tv (zeta(0) = delta)
+        # and q > 0 skip none.  The candidates add up to the same total.
+        pts = rng.random((3000, 2))
+        u = np.where(pts[:, 0] > 0.5, 1.0, 0.0)
+        counts = {}
+        for name, spec, q in (("ms", ms_spec, 0.0), ("tv", tv_spec, 0.0), ("ms_q1", ms_spec, 1.0)):
+            counts[name] = {}
+            sampled_energy(pts, u, spec, 0.05, q=q, stats=counts[name])
+        assert counts["ms"]["skipped"] > counts["ms"]["compared"] > 0
+        assert counts["tv"]["skipped"] == counts["ms_q1"]["skipped"] == 0
+        total = counts["tv"]["compared"]
+        assert counts["ms"]["compared"] + counts["ms"]["skipped"] == total
+        assert counts["ms_q1"]["compared"] == total
+
     def test_nonpositive_radius_rejected(self, rng, ms_spec):
         pts = rng.random((10, 2))
         with pytest.raises(ValidationError):
@@ -195,14 +232,48 @@ def brute_pairs(points, radius):
 
 
 def kernel_pairs(points, radius):
-    """{(i, j): r} from _cell_pairs; fails on a pair yielded twice."""
+    """{(i, j): r} from _cell_pairs, in input indices; fails on a pair yielded twice."""
+    order, cells = _cell_order(points, radius)
     found = {}
-    for ia, ib, r in _cell_pairs(points, radius):
-        for i, j, rij in zip(ia.tolist(), ib.tolist(), r.tolist()):
+    for ia, ib, r in _cell_pairs(points, order, cells, radius):
+        for i, j, rij in zip(order[ia].tolist(), order[ib].tolist(), r.tolist()):
             key = (min(i, j), max(i, j))
             assert key not in found, f"pair {key} yielded twice"
             found[key] = rij
     return found
+
+
+@st.composite
+def piecewise_constant(draw):
+    """A cloud, a cutoff radius and piecewise-constant values on the cloud.
+
+    Lattices use binary spacings, so distances at the radius are exact and
+    the kernel and the brute-force graph agree on which pairs lie within it.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "duplicates", "lattice"]))
+    if kind == "lattice":
+        spacing = draw(st.sampled_from([1.0, 0.25]))
+        points = rng.integers(0, 6, size=(n, d)) * spacing
+        radius = spacing * draw(st.integers(1, 3))
+    else:
+        points = rng.random((n, d))
+        radius = draw(st.floats(0.05, 1.0))
+        if kind == "duplicates":
+            points = points[rng.integers(0, max(1, n // 3), size=n)]
+    shape = draw(st.sampled_from(["step", "ball", "levels"]))
+    if shape == "step":
+        low, high = draw(st.sampled_from([(0.0, 1.0), (-2.5, 0.75), (3.0, 3.0)]))
+        u = np.where(points[:, 0] > np.median(points[:, 0]), high, low)
+    elif shape == "ball":
+        center = points[rng.integers(n)]
+        in_ball = np.linalg.norm(points - center, axis=1) < draw(st.floats(0.0, 1.0)) * radius * 3
+        u = in_ball / 0.3
+    else:
+        u = rng.integers(0, 3, size=n).astype(float)
+    return points, radius, u
 
 
 @st.composite
@@ -261,6 +332,37 @@ class TestCellPairs:
         assert sampled_energy(points, u, ms_spec, 0.1) == pytest.approx(
             gms_energy(g, u, ms_spec, 0.1), rel=1e-10
         )
+
+
+class TestConstantBlockSkip:
+    """Skipping constant blocks leaves the energy equal to the brute-force oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        piecewise_constant(),
+        st.sampled_from(["ms_arctan", "capped_linear", "quadratic", "tv_smoothed"]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([64, continuum._BLOCK_CANDIDATES]),
+    )
+    def test_matches_graph_energy(self, case, kind, q, block):
+        points, radius, u = case
+        spec = ZetaSpec(kind, delta=0.01) if kind == "tv_smoothed" else ZetaSpec(kind)
+        n = len(u)
+        config = small_config(eps=radius, k_max=n, sigma=1.0, cutoff_multiplier=1.0)
+        graph = brute_force_graph(PointCloud(points=points), config)
+        stats = {}
+        # small blocks split strips, so a skip can stop partway along one
+        with patch.object(continuum, "_BLOCK_CANDIDATES", block):
+            try:
+                oracle = gms_energy(graph, u, spec, radius, q=q)
+            except SingularityError:
+                with pytest.raises(SingularityError):
+                    sampled_energy(points, u, spec, radius, q=q, cutoff_multiplier=1.0)
+                return
+            streamed = sampled_energy(points, u, spec, radius, q=q, cutoff_multiplier=1.0, stats=stats)
+        assert math.isclose(streamed, oracle, rel_tol=1e-12, abs_tol=0.0)
+        if q > 0 or kind == "tv_smoothed":
+            assert stats["skipped"] == 0
 
 
 class TestGammaExperiment:

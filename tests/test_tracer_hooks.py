@@ -11,10 +11,6 @@ from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# continuum reaches zeta only through energy.pair_terms, so it has no
-# zeta_value to hook (ROADMAP item 4).
-KNOWN_MISSING = {("gms.continuum", "zeta_value")}
-
 
 def load_hooks():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -29,4 +25,4 @@ def test_every_hook_resolves():
         for module, attr, _ in load_hooks()
         if not callable(getattr(importlib.import_module(module), attr, None))
     }
-    assert missing <= KNOWN_MISSING
+    assert not missing
