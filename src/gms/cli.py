@@ -15,11 +15,13 @@ import argparse
 import csv
 import json
 import os
+import platform
 import sys
 import time
 import warnings
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .consistency import density_deviation_curve, dyadic_counterexample
@@ -68,9 +70,10 @@ def _write_manifest(args, record: dict, duration: float) -> None:
     """Write ``<--out>.manifest.json``: the resolved flags plus ``record``.
 
     ``record`` is what the subcommand returned: its ``inputs`` and ``outputs``
-    and, for denoise and housing, the ``graph`` and ``solver`` statistics; for
-    gamma and the spike counterexample, the candidate-pair counts of each
-    energy evaluation (``pairs``, one entry per n or k).
+    and, for denoise and housing, the ``graph`` and ``solver`` statistics and
+    the graph-build ``threads``; for gamma and the spike counterexample, the
+    candidate-pair counts of each energy evaluation (``pairs``, one entry per
+    n or k).  ``environment`` holds the Python, numpy and scipy versions.
     """
     manifest = {
         "command": args.subcommand,
@@ -78,6 +81,9 @@ def _write_manifest(args, record: dict, duration: float) -> None:
         "seed": getattr(args, "seed", None),
         "duration_s": duration,
         "version": __version__,
+        "environment": {
+            "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+        },
         **record,
     }
     with open(args.out + ".manifest.json", "w") as fh:
@@ -181,7 +187,8 @@ def _minimize(args, cloud: PointCloud, truth=None):
 
     Prints the L1 error against ``truth`` if given, then the final energy in
     the scaling ``--sec1`` selects.  Returns the graph, the solution and the
-    manifest record with the graph and solver statistics.
+    manifest record with the graph and solver statistics and the graph-build
+    thread count.
     """
     workers = _threads(args)
     spec = _zeta_from_flags(args)
@@ -199,7 +206,7 @@ def _minimize(args, cloud: PointCloud, truth=None):
         f"energy[{e.parameterization}] fidelity={e.fidelity:.9g} "
         f"regularizer={e.regularizer:.9g} total={e.total:.9g}"
     )
-    return graph, solution, {"graph": graph_stats, "solver": solver_stats}
+    return graph, solution, {"graph": graph_stats, "solver": solver_stats, "threads": workers}
 
 
 def cmd_denoise(args) -> dict:

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -273,6 +275,33 @@ class TestThreadCount:
         monkeypatch.setenv("GMS_THREADS", "abc")
         assert run("denoise", "--input", synth_files[0], "--out", tmp_path / "u.csv", "--threads", "2") == 0
 
+    def test_denoise_manifest_records_threads(self, synth_files, tmp_path, monkeypatch):
+        out = tmp_path / "u.csv"
+        manifest = tmp_path / "u.csv.manifest.json"
+        monkeypatch.delenv("GMS_THREADS", raising=False)
+        assert run("denoise", "--input", synth_files[0], "--out", out) == 0
+        assert json.loads(manifest.read_text())["threads"] == 1
+        monkeypatch.setenv("GMS_THREADS", "3")
+        assert run("denoise", "--input", synth_files[0], "--out", out) == 0
+        assert json.loads(manifest.read_text())["threads"] == 3
+        assert run("denoise", "--input", synth_files[0], "--out", out, "--threads", "2") == 0
+        assert json.loads(manifest.read_text())["threads"] == 2
+
+
+class TestEnvironmentManifest:
+    @pytest.mark.parametrize("command", ["synth", "denoise", "edges"])
+    def test_manifest_records_versions(self, synth_files, tmp_path, command):
+        cloud_path, _ = synth_files
+        u, graph = tmp_path / "u.csv", tmp_path / "g.txt"
+        assert run("denoise", "--input", cloud_path, "--out", u, "--graph-out", graph) == 0
+        assert run("edges", "--solution", u, "--graph", graph, "--jump", "0.1", "--out", tmp_path / "e.csv") == 0
+        path = {"synth": cloud_path, "denoise": u, "edges": tmp_path / "e.csv"}[command]
+        manifest = json.loads(Path(f"{path}.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+        }
+
 
 class TestEdgesValidation:
     def test_length_mismatch_exit_2(self, synth_files, tmp_path):
@@ -496,6 +525,19 @@ class TestHousing:
         # records 1 and 2 share a location
         assert stats["zero_distance_edges"] == 1
         assert sum(stats["degree_histogram"]) == 3
+
+    def test_manifest_records_threads(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "houses.csv"
+        csv_path.write_text(
+            "id,long,lat,price,sqft_living\n"
+            "1,-122.3,47.6,500000,2000\n2,-122.301,47.6,400000,1500\n3,-122.31,47.61,450000,1800\n"
+        )
+        out, manifest = tmp_path / "u.csv", tmp_path / "u.csv.manifest.json"
+        monkeypatch.delenv("GMS_THREADS", raising=False)
+        assert run("housing", "--input", csv_path, "--out", out) == 0
+        assert json.loads(manifest.read_text())["threads"] == 1
+        assert run("housing", "--input", csv_path, "--out", out, "--threads", "2") == 0
+        assert json.loads(manifest.read_text())["threads"] == 2
 
 
 class TestPlot:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,12 +9,14 @@ from gms.core import PointCloud, SolverConfig, ValidationError, ZetaSpec
 from gms.datasets import generate_synthetic
 from gms.energy import objective_sec6
 from gms.graph import brute_force_graph, build_geometric_graph
+import gms.solver
 from gms.solver import (
     CG_BUDGET,
     _anderson_step,
     SolverError,
     SystemPattern,
     detect_edges,
+    forcing_tol,
     irls_minimize,
     solve_u,
     system_matrix,
@@ -352,41 +356,54 @@ class TestIrls:
         g = brute_force_graph(random_cloud(rng, 30), small_config(eps=0.3))
         sol = irls_minimize(g, rng.random(30), ms_spec, small_config(eps=0.3))
         for k, entry in enumerate(sol.energy_trace):
-            assert set(entry) == {"iter", "fidelity", "regularizer", "total", "cg_iters"}
+            assert set(entry) == {"iter", "fidelity", "regularizer", "total", "cg_iters", "cg_tol"}
             assert entry["iter"] == k
+        assert sol.energy_trace[0]["cg_tol"] is None and sol.energy_trace[1]["cg_tol"] == 1e-8
 
 
 def plain_irls(graph, f, spec, config):
-    """IRLS without acceleration, with the solver's stop rule: (u, trace, factorizations)."""
+    """IRLS without acceleration, with the solver's stop rule and inner tolerances: (u, trace, factorizations)."""
     u = np.asarray(f, dtype=float).copy()
     pattern = SystemPattern(graph)
 
-    def entry(it, cg_iters):
+    def entry(it, cg_iters, cg_tol):
         e = objective_sec6(graph, u, f, spec, config.lam, config.eps)
-        return {"iter": it, "fidelity": e.fidelity, "regularizer": e.regularizer, "total": e.total, "cg_iters": cg_iters}
+        return {
+            "iter": it, "fidelity": e.fidelity, "regularizer": e.regularizer, "total": e.total,
+            "cg_iters": cg_iters, "cg_tol": cg_tol,
+        }
 
-    trace = [entry(0, 0)]
+    trace = [entry(0, 0, None)]
     factorizations = 0
+    decrease = None
     for it in range(1, config.irls_max_iter + 1):
         z = update_z(graph, u, spec, config.eps)
         solve = {}
-        u = solve_u(graph, f, z, config.lam, config.eps, cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern)
+        cg_rtol = forcing_tol(config.cg_tol, decrease)
+        u = solve_u(
+            graph, f, z, config.lam, config.eps, cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern,
+            cg_rtol=cg_rtol,
+        )
         factorizations += solve["factored"]
         if "perm_c" in solve:
             pattern = SystemPattern(graph, perm=solve["perm_c"])
-        trace.append(entry(it, solve["cg_iters"]))
+        trace.append(entry(it, solve["cg_iters"], config.cg_tol if solve["factored"] else cg_rtol))
         prev, total = trace[-2]["total"], trace[-1]["total"]
-        if (prev - total) / max(abs(prev), 1e-300) < config.irls_tol:
+        decrease = (prev - total) / max(abs(prev), 1e-300)
+        if decrease < config.irls_tol:
             break
     return u, trace, factorizations
 
 
 class TestAnderson:
-    def test_tv_accelerated_no_worse_than_plain(self):
+    def test_tv_accelerated_no_worse_than_plain(self, monkeypatch):
         graph, f, spec, config = stiff_tv_case()
         stats = {}
         sol = irls_minimize(graph, f, spec, config, stats=stats)
-        u_plain, trace_plain, factorizations_plain = plain_irls(graph, f, spec, config)
+        # the accelerated run solves every system to cg_tol, and so does its reference
+        with monkeypatch.context() as m:
+            m.setattr(gms.solver, "FORCING_CAP", 0.0)
+            u_plain, trace_plain, factorizations_plain = plain_irls(graph, f, spec, config)
         assert sol.converged and stats["accelerated"] > 0
         assert sol.energy_trace[-1]["total"] <= trace_plain[-1]["total"]
         assert stats["factorizations"] < factorizations_plain
@@ -416,6 +433,81 @@ class TestAnderson:
         assert _anderson_step([(g - 1, r), (g, r)]) is None
         # dr = 2 r, so gamma = 1/2 and the candidate is g - dg / 2
         np.testing.assert_array_equal(_anderson_step([(g - 1, -r), (g, r)]), g - 0.5)
+
+
+def fixed_tol_run(monkeypatch, graph, f, spec, config):
+    """``irls_minimize`` with every solve asked for ``config.cg_tol``: a cap of 0 turns the forcing off."""
+    stats = {}
+    with monkeypatch.context() as m:
+        m.setattr(gms.solver, "FORCING_CAP", 0.0)
+        sol = irls_minimize(graph, f, spec, config, stats=stats)
+    return sol, stats
+
+
+class TestForcing:
+    def test_rule(self):
+        assert forcing_tol(1e-8, None) == 1e-8
+        assert forcing_tol(1e-8, 0.5) == gms.solver.FORCING_CAP
+        assert forcing_tol(1e-8, 1e-4) == gms.solver.FORCING_FACTOR * 1e-4
+        assert forcing_tol(1e-8, 1e-9) == 1e-8
+        assert forcing_tol(1e-8, -0.1) == 1e-8
+
+    def test_ms_takes_fewer_cg_iterations(self, monkeypatch):
+        case = generate_synthetic(1000, seed=0)
+        config = SolverConfig(lam=50.0, eps=0.07, sigma=5.0, k_max=8, irls_tol=1e-6)
+        graph = build_geometric_graph(case.cloud, config)
+        f, spec = case.cloud.labels, ZetaSpec("ms_arctan")
+        stats = {}
+        sol = irls_minimize(graph, f, spec, config, stats=stats)
+        fixed, fixed_stats = fixed_tol_run(monkeypatch, graph, f, spec, config)
+        assert sol.converged and sol.iterations == fixed.iterations > 2
+        e, e_fixed = sol.energy_trace[-1]["total"], fixed.energy_trace[-1]["total"]
+        assert abs(e - e_fixed) <= 1e-6 * abs(e_fixed)
+        assert stats["cg_iters"] < fixed_stats["cg_iters"]
+        totals = [entry["total"] for entry in sol.energy_trace]
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
+        # the trace records the schedule: cg_tol first, then the forcing of each previous decrease
+        asked = [entry["cg_tol"] for entry in sol.energy_trace[1:]]
+        decreases = [(a - b) / abs(a) for a, b in zip(totals[:-2], totals[1:-1])]
+        assert asked == [config.cg_tol] + [forcing_tol(config.cg_tol, d) for d in decreases]
+        assert max(asked) == gms.solver.FORCING_CAP
+        assert {entry["cg_tol"] for entry in fixed.energy_trace[1:]} == {config.cg_tol}
+
+    @pytest.mark.parametrize("kind", ["tv_smoothed", "quadratic", "ms_factored"])
+    def test_exact_runs_unchanged(self, monkeypatch, kind):
+        graph, f, spec, config = stiff_tv_case()
+        if kind == "quadratic":
+            spec = ZetaSpec("quadratic")
+        elif kind == "ms_factored":
+            # at λ=1 the first system outruns the CG budget, so every solve of the run is factored
+            spec, config = ZetaSpec("ms_arctan"), dataclasses.replace(config, lam=1.0)
+        sol = irls_minimize(graph, f, spec, config)
+        fixed, _ = fixed_tol_run(monkeypatch, graph, f, spec, config)
+        assert sol.u.tobytes() == fixed.u.tobytes()
+        assert sol.energy_trace == fixed.energy_trace
+        assert {entry["cg_tol"] for entry in sol.energy_trace[1:]} == {config.cg_tol}
+        if kind == "quadratic":
+            assert sol.iterations == 1
+        else:
+            assert sol.iterations > 2
+        if kind == "ms_factored":
+            assert [entry["cg_iters"] for entry in sol.energy_trace[1:3]] == [CG_BUDGET, 0]
+
+    def test_factored_check_keeps_cg_tol(self):
+        graph, f, spec, config = stiff_tv_case()
+        z = update_z(graph, f, spec, config.eps)
+        first = {}
+        solve_u(graph, f, z, 5.0, config.eps, stats=first)
+        pattern = SystemPattern(graph, perm=first["perm_c"])
+        # a loose CG tolerance does not loosen the factored solve's check
+        with pytest.raises(SolverError):
+            solve_u(graph, f, z, 5.0, config.eps, cg_tol=1e-300, cg_rtol=1e-3, pattern=pattern)
+        # an unfactored solve is checked against the tolerance it was asked for
+        stats = {}
+        u = solve_u(graph, f, z, 5.0, config.eps, cg_rtol=1e-3, stats=stats)
+        A = system_matrix(graph, z, 5.0, config.eps)
+        residual = np.linalg.norm(A @ u - f) / np.linalg.norm(f)
+        assert not stats["factored"] and 10 * 1e-8 < residual <= 1e-3
 
 
 class TestTwoClusterToy:
