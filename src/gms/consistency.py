@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,40 +60,30 @@ def bin_measure(points: np.ndarray, delta: float) -> BinnedMeasure:
     return BinnedMeasure(d=d, delta=delta, counts=counts, density=density)
 
 
-def _delta_for(n: int, d: int, b_rule: Callable[[int], float]) -> float:
-    """Largest delta = 1/m with delta^d <= b_n ln(n)/n (integer box count)."""
-    target = (b_rule(n) * math.log(n) / n) ** (1.0 / d)
+def _delta_for(n: int, d: int) -> float:
+    """Largest delta = 1/m with delta^d <= b_n ln(n)/n, b_n = sqrt(ln n) (integer box count)."""
+    target = (math.sqrt(math.log(n)) * math.log(n) / n) ** (1.0 / d)
     m = max(1, math.ceil(1.0 / target))
     return 1.0 / m
 
 
-def density_deviation_curve(
-    n_list: Sequence[int],
-    d: int = 2,
-    b_rule: Callable[[int], float] | None = None,
-    eps_rule: Callable[[int], float] | None = None,
-    seed: int = 0,
-) -> list[dict]:
+def density_deviation_curve(n_list: Sequence[int], d: int = 2, seed: int = 0) -> list[dict]:
     """Table of sup |density - 1| for uniform samples, with the transport proxy.
 
-    delta follows delta^d = b_n ln(n)/n with the default b_n = sqrt(ln n); the
-    proxy for the infinity-transport distance is the box diameter sqrt(d)*delta,
-    reported against eps_n (default 0.7 n^{-1/4}).
+    delta follows delta^d = b_n ln(n)/n with b_n = sqrt(ln n); the proxy for
+    the infinity-transport distance is the box diameter sqrt(d)*delta,
+    reported against eps_n = 0.7 n^{-1/4}.
     """
-    if b_rule is None:
-        b_rule = lambda n: math.sqrt(math.log(n))
-    if eps_rule is None:
-        eps_rule = lambda n: 0.7 * n ** (-0.25)
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_list:
         if n < 2:
             raise ValidationError("need n >= 2 samples")
-        delta = _delta_for(n, d, b_rule)
+        delta = _delta_for(n, d)
         pts = rng.random((n, d))
         binned = bin_measure(pts, delta)
         ell = math.sqrt(d) * delta
-        eps = eps_rule(n)
+        eps = 0.7 * n ** (-0.25)
         rows.append(
             {
                 "n": int(n),
@@ -108,22 +98,15 @@ def density_deviation_curve(
     return rows
 
 
-def dyadic_counterexample(
-    k: int,
-    alpha: float = 0.7,
-    d: int = 3,
-    p: float = 2.0,
-    q: float = 0.0,
-    sigma: float = 1.0,
-    cutoff_multiplier: float = 3.0,
-) -> dict:
+def dyadic_counterexample(k: int, alpha: float = 0.7, d: int = 3) -> dict:
     """Spike on the dyadic grid of the centered unit cube: L^1 norm and energy.
 
     Grid points are the 2^{kd} barycenters of the dyadic subcubes; the function
     is the normalized indicator of the ball of radius 2^{-k/2} at the origin,
-    evaluated with eps_k = 2^{-k alpha} and the capped-linear saturation
-    min(t, 1).  Returns the L^1 norm, the energy, the spike count, the sup
-    norm, and the candidate-pair counts of the energy evaluation (``pairs``).
+    evaluated with eps_k = 2^{-k alpha}, the capped-linear saturation
+    min(t, 1), p = 2, q = 0 and the unit Gaussian kernel cut at radius 3.
+    Returns the L^1 norm, the energy, the spike count, the sup norm, and the
+    candidate-pair counts of the energy evaluation (``pairs``).
     """
     if not (0.5 < alpha < 1.0):
         raise ValidationError("alpha must lie in (1/2, 1)")
@@ -144,9 +127,7 @@ def dyadic_counterexample(
     l1 = float(u.sum() / n)
     spec = ZetaSpec("capped_linear")
     pairs: dict = {}
-    energy = sampled_energy(
-        points, u, spec, eps_k, p, q, sigma=sigma, cutoff_multiplier=cutoff_multiplier, stats=pairs
-    )
+    energy = sampled_energy(points, u, spec, eps_k, stats=pairs)
     return {
         "k": k,
         "d": d,

@@ -54,10 +54,10 @@ class DivergentIntegralError(ValueError):
     """A kernel moment required by the limiting constants does not converge."""
 
 
-def radial_moment(eta: Callable, power: float, tol: float = 1e-12) -> float:
+def radial_moment(eta: Callable, power: float) -> float:
     """int_0^inf t^power eta(t) dt by adaptive quadrature with a doubling cutoff.
 
-    The cutoff grows until the last doubling contributes less than ``tol`` of
+    The cutoff grows until the last doubling contributes less than 1e-12 of
     the running total; failure to stabilize raises DivergentIntegralError.
     """
     # Imported here, not at module level: scipy.integrate pulls in
@@ -70,7 +70,7 @@ def radial_moment(eta: Callable, power: float, tol: float = 1e-12) -> float:
     for _ in range(60):
         piece = quad(integrand, lo, hi, limit=200)[0]
         total += piece
-        if piece <= tol * total or (total == 0.0 and piece == 0.0):
+        if piece <= 1e-12 * total or (total == 0.0 and piece == 0.0):
             return total
         lo, hi = hi, 2 * hi
     raise DivergentIntegralError(
@@ -199,20 +199,15 @@ class NoisyFidelityCase:
         return self.half_width**2 / 3.0
 
 
-def _gauss_legendre_01(npts: int):
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-def continuum_ms(constants: LimitConstants, case, npts: int = 256) -> float:
+def continuum_ms(constants: LimitConstants, case) -> float:
     """Evaluate the limiting energy for a test case with uniform density.
 
-    The gradient term uses tensor Gauss-Legendre quadrature; the jump term is
-    the closed-form (d-1)-measure for the axis-aligned step.
+    The gradient term uses 256-point Gauss-Legendre quadrature along x_1; the
+    jump term is the closed-form (d-1)-measure for the axis-aligned step.
     """
-    npts = min(npts, 2048)
     if isinstance(case, SmoothCase):
-        x, w = _gauss_legendre_01(npts)
+        x, w = np.polynomial.legendre.leggauss(256)
+        x, w = (x + 1.0) / 2.0, w / 2.0
         grad_term = float(np.sum(case.grad_norm(x) ** constants.p * w))
         # remaining axes integrate the constant density 1
         return constants.theta * constants.zeta_prime0 * grad_term
@@ -410,23 +405,20 @@ def gamma_experiment(
     p: float = 2.0,
     q: float = 0.0,
     seed: int = 0,
-    eps_rule: Callable[[int], float] | None = None,
     sigma: float | None = None,
     cutoff_multiplier: float = 3.0,
 ) -> list[dict]:
     """Discrete-vs-continuum ratio table for i.i.d. uniform samples on [0,1]^d.
 
-    The kernel width ``sigma`` trades statistical noise against the finite-eps
-    saturation bias of bounded zeta; the default is 0.2 for smooth cases and
-    1.0 for step cases, with the continuum constants computed for the same
-    truncated kernel.  Each row's ``pairs`` holds the candidate-pair counts
-    of its ``sampled_energy`` call.
+    Each n is evaluated at eps_n = 0.7 n^{-1/4}.  The kernel width ``sigma``
+    trades statistical noise against the finite-eps saturation bias of bounded
+    zeta; the default is 0.2 for smooth cases and 1.0 for step cases, with the
+    continuum constants computed for the same truncated kernel.  Each row's
+    ``pairs`` holds the candidate-pair counts of its ``sampled_energy`` call.
     """
     if any(n < 1 for n in n_list):
         raise ValidationError("sample sizes must be positive")
     d = case.d
-    if eps_rule is None:
-        eps_rule = lambda n: 0.7 * n ** (-0.25)
     if sigma is None:
         sigma = 0.2 if isinstance(case, SmoothCase) else 1.0
     eta = gaussian_eta(sigma, cutoff_multiplier)
@@ -435,7 +427,7 @@ def gamma_experiment(
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_list:
-        eps = eps_rule(n)
+        eps = 0.7 * n ** (-0.25)
         x = rng.random((n, d))
         u = case.values(x)
         pairs: dict = {}

@@ -1,8 +1,7 @@
-"""Shared domain types, the concave saturation functions, and model assumption checks."""
+"""Shared domain types and the concave saturation functions."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +14,6 @@ __all__ = [
     "zeta_value",
     "zeta_derivative",
     "zeta_limit",
-    "validate_assumptions",
-    "AssumptionReport",
 ]
 
 
@@ -72,7 +69,7 @@ class ZetaSpec:
 
     kind:
       - "ms_arctan":   zeta(t) = (2/pi) * arctan(pi t / 2)
-      - "tv_smoothed": zeta(t) = sqrt(delta^2 + t)      (requires delta > 0)
+      - "tv_smoothed": zeta(t) = sqrt(delta^2 + t)      (requires finite delta > 0)
       - "quadratic":   zeta(t) = t
       - "capped_linear": zeta(t) = min(t, 1)
 
@@ -87,8 +84,8 @@ class ZetaSpec:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown zeta kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "tv_smoothed":
-            if self.delta is None or not (self.delta > 0):
-                raise ValidationError("tv_smoothed requires delta > 0")
+            if self.delta is None or not 0 < self.delta < np.inf:
+                raise ValidationError("tv_smoothed requires a finite delta > 0")
         elif self.delta is not None:
             raise ValidationError(f"delta is only meaningful for tv_smoothed, not {self.kind}")
 
@@ -150,20 +147,13 @@ class SolverConfig:
     cutoff_multiplier: float = 3.0
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValidationError("lam must be positive")
-        if not (self.eps > 0):
-            raise ValidationError("eps must be positive")
-        if not (self.sigma > 0):
-            raise ValidationError("sigma must be positive")
+        for name in ("lam", "eps", "sigma", "cutoff_multiplier", "cg_tol", "irls_tol"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and positive")
         if not (self.k_max >= 1):
             raise ValidationError("k_max must be a positive integer")
-        if not (self.cg_tol > 0 and self.irls_tol > 0):
-            raise ValidationError("tolerances must be positive")
         if self.irls_max_iter < 1:
             raise ValidationError("irls_max_iter must be positive")
-        if not (self.cutoff_multiplier > 0):
-            raise ValidationError("cutoff_multiplier must be positive")
 
 
 @dataclass
@@ -174,78 +164,3 @@ class Solution:
     energy_trace: list[dict] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
-
-
-@dataclass
-class AssumptionReport:
-    """Pass/fail record for the kernel and saturation-function standing assumptions."""
-
-    eta_nonincreasing: bool
-    eta_integrable: bool
-    zeta_nondecreasing: bool
-    zeta_concave: bool
-    q_in_range: bool
-    details: dict = field(default_factory=dict)
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.eta_nonincreasing
-            and self.eta_integrable
-            and self.zeta_nondecreasing
-            and self.zeta_concave
-            and self.q_in_range
-        )
-
-
-def validate_assumptions(
-    spec: ZetaSpec,
-    eta_grid: np.ndarray,
-    eta_values: np.ndarray,
-    p: float,
-    q: float,
-    d: int,
-) -> AssumptionReport:
-    """Spot-check the standing assumptions on a sampled kernel and a zeta spec.
-
-    The kernel eta is given by its values on a positive grid; integrability of
-    (t^d + t^{p-q+d-1}) eta(t) is judged by trapezoid quadrature on the grid
-    (finite and with a converging tail).  zeta monotonicity and midpoint
-    concavity are checked on a dense sample.
-    """
-    t = np.asarray(eta_grid, dtype=float)
-    v = np.asarray(eta_values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape or np.any(t <= 0):
-        raise ValidationError("eta must be sampled on a positive 1-d grid")
-    order = np.argsort(t)
-    t, v = t[order], v[order]
-
-    eta_noninc = bool(np.all(np.diff(v) <= 1e-12)) and bool(np.any(v > 0))
-
-    integrand = (t**d + t ** (p - q + d - 1)) * v
-    total = np.trapezoid(integrand, t)
-    # Tail heuristic: the last decade of the grid must contribute a vanishing
-    # share, otherwise the quadrature has not converged (divergent tail).
-    tail_mask = t >= t[-1] / 10.0
-    tail = np.trapezoid(integrand[tail_mask], t[tail_mask])
-    eta_integrable = bool(np.isfinite(total) and total > 0 and tail <= 0.5 * total)
-
-    ts = np.linspace(0.0, 100.0, 2001)
-    zs = zeta_value(spec, ts)
-    nondecreasing = bool(np.all(np.diff(zs) >= -1e-12))
-    mid = zeta_value(spec, (ts[:-2] + ts[2:]) / 2.0)
-    concave = bool(np.all(mid >= (zs[:-2] + zs[2:]) / 2.0 - 1e-12))
-
-    return AssumptionReport(
-        eta_nonincreasing=eta_noninc,
-        eta_integrable=eta_integrable,
-        zeta_nondecreasing=nondecreasing,
-        zeta_concave=concave,
-        q_in_range=bool(0 <= q < p),
-        details={
-            "integral_estimate": float(total),
-            "tail_share": float(tail / total) if total > 0 else math.inf,
-            "theta": zeta_limit(spec),
-            "theta_unbounded": zeta_limit(spec) is None,
-        },
-    )

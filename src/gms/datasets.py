@@ -126,18 +126,11 @@ class IngestError(ValueError):
     """Malformed or empty input data."""
 
 
-def ingest_housing(
-    csv_path,
-    max_longitude: float = DEFAULT_MAX_LONGITUDE,
-    normalize: bool = True,
-    rescale_aspect: bool = False,
-) -> PointCloud:
+def ingest_housing(csv_path, max_longitude: float = DEFAULT_MAX_LONGITUDE, normalize: bool = True) -> PointCloud:
     """Read a housing CSV into a point cloud labeled by price per square foot.
 
     Rows east of ``max_longitude`` or with missing/zero living square footage
-    are dropped.  With ``normalize`` the labels are divided by their maximum;
-    with ``rescale_aspect`` longitudes are compressed by cos(mean latitude) so
-    degree distances are roughly isotropic.
+    are dropped.  With ``normalize`` the labels are divided by their maximum.
     """
     required = {"long", "lat", "price", "sqft_living"}
     rows = []
@@ -168,11 +161,5 @@ def ingest_housing(
     if not rows:
         raise IngestError(f"no usable records in {csv_path}")
     data = np.array(rows)
-    positions = data[:, :2]
-    labels = data[:, 2]
-    if rescale_aspect:
-        positions = positions.copy()
-        positions[:, 0] *= math.cos(math.radians(positions[:, 1].mean()))
-    if normalize:
-        labels = labels / labels.max()
-    return PointCloud(points=positions, labels=labels)
+    labels = data[:, 2] / data[:, 2].max() if normalize else data[:, 2]
+    return PointCloud(points=data[:, :2], labels=labels)

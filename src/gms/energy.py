@@ -72,18 +72,28 @@ def _check_u(graph: SparseGraph, u) -> np.ndarray:
     return u
 
 
+def _check_u_f(graph: SparseGraph, u, f) -> tuple[np.ndarray, np.ndarray]:
+    u = _check_u(graph, u)
+    if f is None:
+        raise ValidationError("labels are required for the fidelity term")
+    f = np.asarray(f, dtype=float)
+    if f.shape != u.shape:
+        raise ValidationError("labels must match u in length")
+    return u, f
+
+
 def pair_terms(
     u: np.ndarray, ii, jj, distances, weights, spec: ZetaSpec, eps: float, p: float, q: float,
     labels=None,
 ) -> np.ndarray:
-    """Per-pair terms zeta(eps^{1-p+q} |u_i - u_j|^p / r^q) * w of the general energy.
+    """Per-pair terms zeta(|u_i - u_j|^p / (eps^{p-1-q} r^q)) * w of the general energy.
 
     Raises SingularityError when q > 0 and some pair has zero distance; the
     message names the pair by ``labels[i]`` and ``labels[j]`` when ``labels``
     is given (for indices into a permuted ``u``), else by i and j.
     """
     du = np.abs(u[ii] - u[jj])
-    arg = eps ** (1.0 - p + q) * du**p
+    arg = du**p / eps ** (p - 1.0 - q)
     if q > 0:
         zero = distances == 0
         if np.any(zero):
@@ -100,7 +110,7 @@ def pair_terms(
 def gms_energy(
     graph: SparseGraph, u, spec: ZetaSpec, eps: float, p: float = 2.0, q: float = 0.0
 ) -> float:
-    """Fidelity-free energy (1/(eps n^2)) sum_{i,j} zeta(eps^{1-p+q} |du|^p / r^q) w_ij."""
+    """Fidelity-free energy (1/(eps n^2)) sum_{i,j} zeta(|du|^p / (eps^{p-1-q} r^q)) w_ij."""
     u = _check_u(graph, u)
     if not (0 <= q < p):
         raise ValidationError("q must lie in [0, p)")
@@ -118,42 +128,20 @@ def objective_sec6(
     This is the value of the half-quadratic objective at the optimal edge
     weights z, since min_z (z t + Psi(z)) = zeta(t).
     """
-    u = _check_u(graph, u)
-    if f is None:
-        raise ValidationError("labels are required for the fidelity term")
-    f = np.asarray(f, dtype=float)
-    if f.shape != u.shape:
-        raise ValidationError("labels must match u in length")
-    fidelity = exact_sum((u - f) ** 2)
-    if graph.n_edges:
-        du = u[graph.ii] - u[graph.jj]
-        terms = zeta_value(spec, du**2 / eps) * graph.weights
-        reg = 2.0 * exact_sum(terms) / (lam * eps * graph.n)
-    else:
-        reg = 0.0
-    return EnergyBreakdown(fidelity=fidelity, regularizer=reg, parameterization="sec6")
-
-
-def objective_sec1(
-    graph: SparseGraph,
-    u,
-    f,
-    spec: ZetaSpec,
-    lam: float,
-    eps: float,
-    p: float = 2.0,
-    q: float = 0.0,
-) -> EnergyBreakdown:
-    """Published-form objective: (lam/n) sum |u_i - f_i|^2 plus the general regularizer."""
-    u = _check_u(graph, u)
-    if f is None:
-        raise ValidationError("labels are required for the fidelity term")
-    f = np.asarray(f, dtype=float)
-    if f.shape != u.shape:
-        raise ValidationError("labels must match u in length")
-    fidelity = lam / graph.n * exact_sum((u - f) ** 2)
+    u, f = _check_u_f(graph, u, f)
+    terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, 2.0, 0.0)
     return EnergyBreakdown(
-        fidelity=fidelity,
-        regularizer=gms_energy(graph, u, spec, eps, p, q),
+        fidelity=exact_sum((u - f) ** 2),
+        regularizer=2.0 * exact_sum(terms) / (lam * eps * graph.n),
+        parameterization="sec6",
+    )
+
+
+def objective_sec1(graph: SparseGraph, u, f, spec: ZetaSpec, lam: float, eps: float) -> EnergyBreakdown:
+    """Published-form objective: (lam/n) sum |u_i - f_i|^2 plus the p=2, q=0 regularizer."""
+    u, f = _check_u_f(graph, u, f)
+    return EnergyBreakdown(
+        fidelity=lam / graph.n * exact_sum((u - f) ** 2),
+        regularizer=gms_energy(graph, u, spec, eps),
         parameterization="sec1",
     )

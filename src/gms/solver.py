@@ -349,7 +349,7 @@ def irls_minimize(
 
 def detect_edges(graph: SparseGraph, u, jump_threshold: float) -> list[tuple[int, int]]:
     """Sorted (i, j) list of edges whose endpoint values differ by more than the threshold."""
-    if jump_threshold < 0:
+    if not jump_threshold >= 0:
         raise ValidationError("jump_threshold must be nonnegative")
     u = np.asarray(u, dtype=float)
     if u.shape != (graph.n,):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import platform
@@ -26,7 +28,7 @@ from gms.cli import (
 )
 from gms.core import PointCloud, SolverConfig, ZetaSpec
 from gms.datasets import generate_synthetic, ingest_housing
-from gms.graph import build_geometric_graph, load_graph
+from gms.graph import build_geometric_graph, load_graph, save_graph
 from gms.solver import irls_minimize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -255,14 +257,20 @@ class TestCsvIo:
 
 
 class TestThreadCount:
-    """A malformed ``--threads`` or ``GMS_THREADS`` exits with code 2 before any work."""
+    """A malformed ``--threads`` exits with code 2 before any work."""
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_malformed_env(self, synth_files, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("GMS_THREADS", value)
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_malformed_flag(self, synth_files, tmp_path, capsys, value):
         out = tmp_path / "u.csv"
-        assert run("denoise", "--input", synth_files[0], "--out", out) == 2
-        assert "GMS_THREADS" in capsys.readouterr().err
+        assert run("denoise", "--input", synth_files[0], "--out", out, "--threads", value) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_flag(self, synth_files, tmp_path):
+        out = tmp_path / "u.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("denoise", "--input", synth_files[0], "--out", out, "--threads", "abc")
+        assert exc.value.code == 2
         assert not out.exists()
 
     def test_negative_flag(self, synth_files, tmp_path, capsys):
@@ -271,19 +279,11 @@ class TestThreadCount:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_flag_overrides_env(self, synth_files, tmp_path, monkeypatch):
-        monkeypatch.setenv("GMS_THREADS", "abc")
-        assert run("denoise", "--input", synth_files[0], "--out", tmp_path / "u.csv", "--threads", "2") == 0
-
-    def test_denoise_manifest_records_threads(self, synth_files, tmp_path, monkeypatch):
+    def test_denoise_manifest_records_threads(self, synth_files, tmp_path):
         out = tmp_path / "u.csv"
         manifest = tmp_path / "u.csv.manifest.json"
-        monkeypatch.delenv("GMS_THREADS", raising=False)
         assert run("denoise", "--input", synth_files[0], "--out", out) == 0
         assert json.loads(manifest.read_text())["threads"] == 1
-        monkeypatch.setenv("GMS_THREADS", "3")
-        assert run("denoise", "--input", synth_files[0], "--out", out) == 0
-        assert json.loads(manifest.read_text())["threads"] == 3
         assert run("denoise", "--input", synth_files[0], "--out", out, "--threads", "2") == 0
         assert json.loads(manifest.read_text())["threads"] == 2
 
@@ -391,8 +391,6 @@ class TestMalformedGraph:
 
     @pytest.fixture
     def edge_inputs(self, tmp_path):
-        from gms.graph import build_geometric_graph, save_graph
-
         cloud = PointCloud(points=np.random.default_rng(4).random((60, 2)))
         graph_path = tmp_path / "g.txt"
         save_graph(build_geometric_graph(cloud, SolverConfig(lam=1.0, eps=0.3)), graph_path)
@@ -448,6 +446,93 @@ class TestMalformedGraph:
         assert self.edges_exit(*edge_inputs, tmp_path) == 2
 
 
+class TestNonFiniteParameters:
+    """A nan or inf parameter exits with code 2 before any output is written."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--eps", "--sigma", "--cutoff", "--cg-tol", "--irls-tol", "--delta"])
+    def test_denoise_flag(self, synth_files, tmp_path, flag, value):
+        out = tmp_path / "u.csv"
+        assert run("denoise", "--input", synth_files[0], "--out", out, "--zeta", "tv", flag, value) == 2
+        assert not out.exists() and not (tmp_path / "u.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("value, code", [("nan", 2), ("inf", 0)])
+    def test_edges_jump(self, tmp_path, value, code):
+        graph_path, solution = _fuzz_files(tmp_path)[1:]
+        out = tmp_path / "e.csv"
+        assert run("edges", "--solution", solution, "--graph", graph_path, "--jump", value, "--out", out) == code
+        if code:
+            assert not out.exists()
+        else:
+            assert out.read_text() == "i,j,jump\n"
+
+
+def _fuzz_files(directory):
+    """A valid labeled point CSV, its graph file and a value CSV for that graph (60 points)."""
+    rng = np.random.default_rng(4)
+    points, labels = rng.random((60, 2)), rng.random(60)
+    cloud_path, graph_path, values_path = directory / "cloud.csv", directory / "g.txt", directory / "u.csv"
+    cloud_path.write_text("x0,x1,f\n" + "".join(f"{x},{y},{f}\n" for (x, y), f in zip(points.tolist(), labels.tolist())))
+    save_graph(build_geometric_graph(PointCloud(points=points), SolverConfig(eps=0.3)), graph_path)
+    values_path.write_text("u\n" + "".join(f"{v}\n" for v in labels.tolist()))
+    return cloud_path, graph_path, values_path
+
+
+def _mutate_row(path, row, mutation, field, sep):
+    """Apply ``mutation`` to field ``field`` (modulo the field count) of data row ``row``."""
+    lines = path.read_text().splitlines()
+    row = 1 + row % (len(lines) - 1)
+    fields = lines[row].split(sep)
+    field %= len(fields)
+    if mutation == "drop":
+        del fields[field]
+    elif mutation == "add":
+        fields.insert(field, "0.5")
+    else:
+        fields[field] = mutation
+    lines[row] = sep.join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedFileFuzz:
+    """One mutated row of a valid point, value or graph file: exit 2, no output, no traceback."""
+
+    @pytest.mark.parametrize("kind", ["points", "values", "graph"])
+    def test_valid_files_pass(self, tmp_path, kind):
+        assert self.exit_code(tmp_path, kind) == (0, "")
+
+    @pytest.mark.parametrize("kind", ["points", "values", "graph"])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mutation=st.sampled_from(["drop", "add", "abc", "nan", "inf", ""]),
+        row=st.integers(0, 10**6),
+        field=st.integers(0, 4),
+    )
+    def test_mutated_row_exits_2(self, kind, mutation, row, field):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            code, err = self.exit_code(tmp, kind, (row, mutation, field))
+            assert code == 2
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not list(tmp.glob("out*"))
+
+    @staticmethod
+    def exit_code(tmp, kind, mutation=None):
+        """Exit code and stderr of ``denoise`` (points) or ``edges`` (values, graph) on the fuzz files."""
+        cloud_path, graph_path, values_path = _fuzz_files(tmp)
+        if mutation:
+            target = {"points": cloud_path, "values": values_path, "graph": graph_path}[kind]
+            _mutate_row(target, *mutation, sep=" " if kind == "graph" else ",")
+        if kind == "points":
+            argv = ["denoise", "--input", cloud_path, "--out", tmp / "out.csv", "--eps", "0.3"]
+        else:
+            argv = ["edges", "--solution", values_path, "--graph", graph_path, "--jump", "0.1", "--out", tmp / "out.csv"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*argv)
+        return code, err.getvalue()
+
+
 class TestGamma:
     def test_smoke(self, tmp_path, capsys):
         out = tmp_path / "gamma.csv"
@@ -486,20 +571,22 @@ class TestConsistency:
 
 class TestHousing:
     def test_small_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "houses.csv"
-        rng = np.random.default_rng(0)
-        rows = ["id,long,lat,price,sqft_living\n"]
-        for i in range(50):
-            lon = -122.4 + 0.02 * rng.random()
-            lat = 47.5 + 0.02 * rng.random()
-            rows.append(f"{i},{lon:.5f},{lat:.5f},{300000 + 1000 * i},{1500 + 10 * i}\n")
-        csv_path.write_text("".join(rows))
+        csv_path = _write_houses(tmp_path / "houses.csv")
         out = tmp_path / "u.csv"
         assert run("housing", "--input", csv_path, "--out", out) == 0
         captured = capsys.readouterr().out
         assert "50 records" in captured
         assert len(out.read_text().splitlines()) == 51
         assert (tmp_path / "u.csv.points.csv").exists()
+
+    def test_stdout_repeats(self, tmp_path, capsys):
+        csv_path = _write_houses(tmp_path / "houses.csv")
+        printed = []
+        for _ in range(2):
+            assert run("housing", "--input", csv_path, "--out", tmp_path / "u.csv") == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert re.fullmatch(r"housing: edges=\d+ iterations=\d+ converged=(True|False)", printed[0].splitlines()[-1])
 
     def test_manifest_records_defaults(self, tmp_path):
         csv_path = tmp_path / "houses.csv"
@@ -526,14 +613,13 @@ class TestHousing:
         assert stats["zero_distance_edges"] == 1
         assert sum(stats["degree_histogram"]) == 3
 
-    def test_manifest_records_threads(self, tmp_path, monkeypatch):
+    def test_manifest_records_threads(self, tmp_path):
         csv_path = tmp_path / "houses.csv"
         csv_path.write_text(
             "id,long,lat,price,sqft_living\n"
             "1,-122.3,47.6,500000,2000\n2,-122.301,47.6,400000,1500\n3,-122.31,47.61,450000,1800\n"
         )
         out, manifest = tmp_path / "u.csv", tmp_path / "u.csv.manifest.json"
-        monkeypatch.delenv("GMS_THREADS", raising=False)
         assert run("housing", "--input", csv_path, "--out", out) == 0
         assert json.loads(manifest.read_text())["threads"] == 1
         assert run("housing", "--input", csv_path, "--out", out, "--threads", "2") == 0

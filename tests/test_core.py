@@ -10,7 +10,6 @@ from gms.core import (
     SolverConfig,
     ValidationError,
     ZetaSpec,
-    validate_assumptions,
     zeta_derivative,
     zeta_limit,
     zeta_value,
@@ -142,26 +141,3 @@ class TestSolverConfig:
         with pytest.raises(ValidationError):
             SolverConfig(lam=-1.0)
 
-
-class TestValidateAssumptions:
-    def test_gaussian_all_pass(self):
-        t = np.linspace(1e-3, 30.0, 4000)
-        report = validate_assumptions(ZetaSpec("ms_arctan"), t, np.exp(-t**2 / 2), p=2, q=0, d=2)
-        assert report.all_pass
-
-    def test_nonintegrable_tail_flagged(self):
-        t = np.geomspace(1e-3, 1e4, 4000)
-        report = validate_assumptions(ZetaSpec("ms_arctan"), t, 1.0 / t, p=2, q=0, d=2)
-        assert not report.eta_integrable
-        assert report.zeta_concave
-
-    def test_quadratic_concave_theta_unbounded(self):
-        t = np.linspace(1e-3, 30.0, 1000)
-        report = validate_assumptions(ZetaSpec("quadratic"), t, np.exp(-t), p=2, q=0, d=2)
-        assert report.zeta_concave and report.zeta_nondecreasing
-        assert report.details["theta_unbounded"]
-
-    def test_q_out_of_range_flagged(self):
-        t = np.linspace(1e-3, 30.0, 1000)
-        report = validate_assumptions(ZetaSpec("ms_arctan"), t, np.exp(-t), p=2, q=2.5, d=2)
-        assert not report.q_in_range

@@ -136,17 +136,6 @@ class TestIngestHousing:
         cloud = ingest_housing(path, normalize=False)
         assert cloud.labels[0] == pytest.approx(250.0)
 
-    def test_rescale_aspect(self, tmp_path):
-        path = write_csv(
-            tmp_path / "h.csv",
-            ["1,-122.3,47.6,500000,2000\n", "2,-122.0,47.6,300000,1000\n"],
-        )
-        plain = ingest_housing(path)
-        scaled = ingest_housing(path, rescale_aspect=True)
-        factor = np.cos(np.radians(47.6))
-        assert scaled.points[0, 0] == pytest.approx(plain.points[0, 0] * factor)
-        assert scaled.points[0, 1] == plain.points[0, 1]
-
     def test_malformed_row_reports_line(self, tmp_path):
         path = write_csv(
             tmp_path / "h.csv",
