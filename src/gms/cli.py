@@ -24,7 +24,7 @@ import scipy
 
 from . import __version__
 from .consistency import density_deviation_curve, dyadic_counterexample
-from .continuum import SmoothCase, StepCase, gamma_experiment
+from .continuum import DivergentIntegralError, SmoothCase, StepCase, gamma_experiment
 from .core import PointCloud, SolverConfig, ValidationError, ZetaSpec
 from .datasets import (
     DEFAULT_MAX_LONGITUDE,
@@ -259,6 +259,9 @@ def cmd_synth(args) -> dict:
 def cmd_gamma(args) -> dict:
     case = SmoothCase() if args.case == "smooth" else StepCase()
     n_list = _int_list(args.n, "--n")
+    for flag, value in (("--sigma", args.sigma), ("--cutoff", args.cutoff)):
+        if value is not None and not 0 < value < np.inf:
+            raise ValidationError(f"{flag} must be positive and finite, got {value}")
     spec = _zeta_from_flags(args)
     rows = gamma_experiment(
         case, n_list, spec, p=args.p, q=args.q, seed=args.seed,
@@ -486,7 +489,7 @@ def main(argv=None) -> int:
         record = args.func(args)
         _write_manifest(args, record, time.time() - t0)
         return 0
-    except (ValidationError, IngestError, SingularityError, FileNotFoundError) as exc:
+    except (ValidationError, IngestError, SingularityError, DivergentIntegralError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

@@ -25,6 +25,7 @@ _SAVE_BLOCK = 4096
 
 # One row of the edge-list file: "i j weight distance".
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", float), ("r", float)])
+_EDGE_FORMAT = "%d %d %.17g %.17g\n"
 
 
 @dataclass(frozen=True)
@@ -192,15 +193,17 @@ def save_graph(graph: SparseGraph, path) -> None:
     """Write the edge-list text format: header "n d eps sigma", then "i j weight distance"."""
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {graph.dim} {graph.eps:.17g} {graph.sigma:.17g}\n")
-        # Rows are formatted from Python scalars one block at a time: whole-array
-        # tolist() or one joined file would hold every row in memory at once.
+        # Rows are formatted one block at a time, by one %-format of the block's
+        # interleaved Python scalars: whole-array tolist() or one joined file
+        # would hold every row in memory at once.
+        columns = (graph.ii, graph.jj, graph.weights, graph.distances)
         for s in range(0, graph.n_edges, _SAVE_BLOCK):
             block = slice(s, s + _SAVE_BLOCK)
-            rows = zip(
-                graph.ii[block].tolist(), graph.jj[block].tolist(),
-                graph.weights[block].tolist(), graph.distances[block].tolist(),
-            )
-            fh.write("".join(f"{i} {j} {w:.17g} {r:.17g}\n" for i, j, w, r in rows))
+            m = len(graph.ii[block])
+            fields = [None] * (4 * m)
+            for k, column in enumerate(columns):
+                fields[k::4] = column[block].tolist()
+            fh.write(_EDGE_FORMAT * m % tuple(fields))
 
 
 def load_graph(path) -> SparseGraph:

@@ -2,10 +2,13 @@
 
 Alternates the closed-form edge-weight update z_ij = zeta'(|u_i - u_j|^2 / eps)
 with a solve of (I + (2/(lam eps^2 n)) L_zw) u = f, where L_zw is the graph
-Laplacian with edge weights z_ij * w_ij.  The solve starts with
+Laplacian with edge weights z_ij * w_ij.  A plain run's solve starts with
 Jacobi-preconditioned conjugate gradients; a system CG does not solve within
 CG_BUDGET iterations is factored once by sparse LU and solved directly, and
-so is every later system of the run.
+so is every later system of the run.  An Anderson-accelerated run (below)
+factors every system, its first one included.  The factorizations use
+SuperLU's supernodal LU (Demmel, Eisenstat, Gilbert, Li & Liu 1999) with
+SUPERLU_PANEL_SIZE and SUPERLU_RELAX in place of its defaults.
 
 Each IRLS step is only a majorizer step, so from the second iteration on an
 unfactored solve is inexact: Jacobi CG is asked for a relative tolerance of
@@ -13,8 +16,8 @@ forcing_tol(cg_tol, d), FORCING_FACTOR times the last relative energy decrease
 d, capped at FORCING_CAP and floored at cg_tol (forcing terms after Eisenstat
 & Walker 1996).  At n=10k, ms λ=162, seeds 0-4 this cuts the Jacobi CG
 iterations of a run from 1,007-1,477 to 275-438 with the same IRLS
-iterations and energies within 1.2e-7 relative.  The first solve, every
-factored one and every solve of an Anderson-accelerated run keep cg_tol.
+iterations and energies within 1.2e-7 relative.  The first solve and every
+factored one keep cg_tol.
 
 The sparsity pattern of the system never changes within a run, so
 ``irls_minimize`` builds it once, in CSC form, and every system is assembled
@@ -47,15 +50,26 @@ __all__ = [
     "SolverError",
 ]
 
-# Jacobi-CG iterations tried before the system is factored.  At n=10k the
-# first factorization of a run, which computes the MMD_AT_PLUS_A ordering,
-# costs about 37 ms and one CG iteration about 0.28 ms, so the budget is the
-# ~130 iterations a factor costs plus slack: the ms systems never reach it
-# (52-54 iterations for the first solve of a run at λ=162, 6-25 for the
-# later ones at the forcing tolerance; 275-438 a run) and the tv systems
-# (176-704) pass it.  Later factorizations reuse the ordering and cost about
-# 60% of the first.
+# Jacobi-CG iterations a plain run tries before the system is factored.  At
+# n=10k the first factorization of a run, which computes the MMD_AT_PLUS_A
+# ordering, costs about 37 ms at SuperLU's default supernode parameters
+# (about a quarter less at the ones below) and one CG iteration about
+# 0.28 ms, so the budget is the ~130 iterations a factor costs plus slack:
+# the ms systems never reach it (52-54 iterations for the first solve of a
+# run at λ=162, 6-25 for the later ones at the forcing tolerance; 275-438 a
+# run).  The tv systems would pass it (176-704 iterations), so the Anderson
+# runs that solve them factor at once.  Later factorizations reuse the
+# ordering and cost about 60% of the first.
 CG_BUDGET = 150
+# SuperLU's supernode parameters (its defaults are 20 and 10).  On the 18 tv
+# systems of n=10k, λ=438, seed 0 (15 and 30 interleaved repeats, process
+# time, one thread of a shared 2-vCPU Xeon), panel size 1 takes the 17
+# reused-ordering factorizations to 0.71-0.77 of the defaults' time and the
+# first, MMD, one to 0.72-0.81 (medians of paired ratios), whatever relax in
+# {1, 2, 3, 5, 8}; panel sizes 2 and 4 reach 0.76-0.81 and 0.81-0.86.  The
+# L+U nonzeros stay 423,904.
+SUPERLU_PANEL_SIZE = 1
+SUPERLU_RELAX = 5
 # Inexact inner solves: from the second IRLS iteration on, Jacobi CG is asked
 # for FORCING_FACTOR times the last relative energy decrease, at most
 # FORCING_CAP (see forcing_tol).
@@ -158,6 +172,7 @@ def solve_u(
     stats: dict | None = None,
     pattern: SystemPattern | None = None,
     cg_rtol: float | None = None,
+    factor: bool = False,
 ) -> np.ndarray:
     """Solve (I + (2/(lam eps^2 n)) L_zw) u = f.
 
@@ -165,7 +180,8 @@ def solve_u(
     unpermuted pattern, CG with a Jacobi preconditioner runs first, from
     ``x0``, for up to CG_BUDGET iterations; a system it does not solve to
     ``cg_rtol`` (default ``cg_tol``) is factored by sparse LU with the
-    MMD_AT_PLUS_A ordering and solved directly.  A permuted pattern is already
+    MMD_AT_PLUS_A ordering and solved directly.  With ``factor`` set, A is
+    factored at once without trying CG.  A permuted pattern is already
     in a fill-reducing order, which only an earlier factorization produces, so
     A is factored at once in its natural order.  ``f``, ``x0`` and the
     returned u are in graph order.  A relative residual above 10 times the
@@ -193,21 +209,25 @@ def solve_u(
     count = [0]
     if pattern.perm is None:
         b = f
+        if not factor:
 
-        def _tick(_):
-            count[0] += 1
+            def _tick(_):
+                count[0] += 1
 
-        inv_diag = 1.0 / A.diagonal()
-        M = spla.LinearOperator(A.shape, matvec=lambda r: inv_diag * r, dtype=float)
-        u, info = spla.cg(A, b, x0=x0, rtol=cg_rtol, atol=0.0, maxiter=CG_BUDGET, M=M, callback=_tick)
-        factor = info != 0
+            inv_diag = 1.0 / A.diagonal()
+            M = spla.LinearOperator(A.shape, matvec=lambda r: inv_diag * r, dtype=float)
+            u, info = spla.cg(A, b, x0=x0, rtol=cg_rtol, atol=0.0, maxiter=CG_BUDGET, M=M, callback=_tick)
+            factor = info != 0
     else:
         b = np.empty_like(f)
         b[pattern.perm] = f
         factor = True
     if factor:
         ordering = "MMD_AT_PLUS_A" if pattern.perm is None else "NATURAL"
-        lu = spla.splu(A, permc_spec=ordering, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = spla.splu(
+            A, permc_spec=ordering, diag_pivot_thresh=0.0, relax=SUPERLU_RELAX,
+            panel_size=SUPERLU_PANEL_SIZE, options={"SymmetricMode": True},
+        )
         u = lu.solve(b)
     if stats is not None:
         stats["cg_iters"] = count[0]
@@ -268,10 +288,10 @@ def irls_minimize(
     saturation stops after its first, exact, solve.  From the second
     iteration on, an unfactored solve is asked for :func:`forcing_tol` of the
     last relative decrease; each trace entry records the tolerance its solve
-    was asked for as ``cg_tol`` (None at iteration 0).  On tv_smoothed each
-    plain iterate g = solve(A(z(u)), f) is replaced by its Anderson mix
-    when that has lower energy (see :func:`_anderson_step`); the trace and
-    the stop rule use the iterate kept.
+    was asked for as ``cg_tol`` (None at iteration 0).  On tv_smoothed every
+    system is factored, and each plain iterate g = solve(A(z(u)), f) is
+    replaced by its Anderson mix when that has lower energy (see
+    :func:`_anderson_step`); the trace and the stop rule use the iterate kept.
 
     When ``stats`` is given it receives ``irls_iters``, ``cg_iters`` (summed
     over the run), ``factorizations``, ``orderings`` (fill-reducing orderings
@@ -299,12 +319,14 @@ def irls_minimize(
     for it in range(1, config.irls_max_iter + 1):
         z = update_z(graph, u, spec, config.eps)
         solve: dict = {}
-        # Anderson mixes the differences g - u of exact solves, so an
-        # accelerated run keeps cg_tol throughout.
-        cg_rtol = config.cg_tol if accelerate else forcing_tol(config.cg_tol, decrease)
+        # Anderson mixes the differences g - u of exact solves, and its tv
+        # systems are stiff (at n=10k, λ=438 Jacobi CG needs 176 iterations
+        # for the first, more than CG_BUDGET), so an accelerated run factors
+        # each system at once.
+        cg_rtol = forcing_tol(config.cg_tol, decrease)
         g = solve_u(
             graph, f, z, config.lam, config.eps,
-            cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern, cg_rtol=cg_rtol,
+            cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern, cg_rtol=cg_rtol, factor=accelerate,
         )
         run["cg_iters"] += solve["cg_iters"]
         if solve["factored"]:

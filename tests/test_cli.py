@@ -17,6 +17,7 @@ import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gms.cli
 from gms.cli import (
     _read_values_csv,
     _write_values_csv,
@@ -550,6 +551,22 @@ class TestGamma:
         assert run("gamma", "--case", "step", "--n", "2000", "--out", out) == 0
         (entry,) = json.loads((tmp_path / "gamma.csv.manifest.json").read_text())["pairs"]
         assert entry["n"] == 2000 and entry["skipped"] > entry["compared"] > 0
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("flag", ["--sigma", "--cutoff"])
+    def test_bad_kernel_flag_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "gamma.csv"
+        assert run("gamma", "--case", "step", "--n", "500", f"{flag}={value}", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert not out.exists() and f"{flag} must be positive and finite" in err and "Traceback" not in err
+
+    def test_divergent_integral_exit_2(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise gms.cli.DivergentIntegralError("kernel moment did not converge")
+
+        monkeypatch.setattr(gms.cli, "gamma_experiment", diverge)
+        assert run("gamma", "--case", "step", "--n", "500", "--out", tmp_path / "gamma.csv") == 2
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestConsistency:

@@ -234,6 +234,25 @@ class TestSaveLoad:
         assert first.read_bytes() == second.read_bytes()
         assert len(first.read_text().splitlines()) == g.n_edges + 1
 
+    def test_rows_match_shortest_repr_format(self, rng, tmp_path):
+        m = graph_module._SAVE_BLOCK + 4
+        awkward = [5e-324, 1e300, 0.1, 0.12345678901234567]
+        weights = np.concatenate([awkward, rng.random(m - len(awkward))])
+        distances = np.concatenate([awkward[::-1], rng.random(m - len(awkward)) * 1e-7])
+        g = SparseGraph(
+            n=m + 1, dim=2, eps=0.1, sigma=1.0, ii=np.zeros(m, dtype=np.int64),
+            jj=np.arange(1, m + 1), weights=weights, distances=distances,
+        )
+        path = tmp_path / "g.txt"
+        save_graph(g, path)
+        rows = path.read_text().splitlines()[1:]
+        expected = [
+            f"{i} {j} {w:.17g} {r:.17g}"
+            for i, j, w, r in zip(g.ii.tolist(), g.jj.tolist(), weights.tolist(), distances.tolist())
+        ]
+        assert rows == expected
+        assert rows[0] == "0 1 4.9406564584124654e-324 0.12345678901234566"
+
     def test_roundtrip_empty(self, tmp_path):
         g = build_geometric_graph(PointCloud(points=[[0.0, 0.0]]), small_config())
         path = tmp_path / "empty.txt"

@@ -199,7 +199,10 @@ class TestSolveU:
 
 
 def stiff_tv_case():
-    """tv denoising case whose Jacobi CG outruns CG_BUDGET from the second solve on."""
+    """tv denoising case (n=1000, λ=50) whose Jacobi CG outruns CG_BUDGET from the second system on.
+
+    The first system takes 130 iterations; at λ=5 it outruns the budget too.
+    """
     case = generate_synthetic(1000, seed=0)
     config = SolverConfig(lam=50.0, eps=0.07, sigma=5.0, k_max=8, irls_tol=1e-5)
     graph = build_geometric_graph(case.cloud, config)
@@ -232,15 +235,25 @@ class TestFactoredSolve:
 
     def test_irls_reruns_bit_identical(self):
         graph, f, spec, config = stiff_tv_case()
-        a = irls_minimize(graph, f, spec, config)
+        stats = {}
+        a = irls_minimize(graph, f, spec, config, stats=stats)
         b = irls_minimize(graph, f, spec, config)
         assert a.u.tobytes() == b.u.tobytes()
         assert a.energy_trace == b.energy_trace
-        # the run did switch to the factor, and kept it once it had needed it
-        iters = [entry["cg_iters"] for entry in a.energy_trace[1:]]
-        first = iters.index(CG_BUDGET)
-        assert all(c < CG_BUDGET for c in iters[:first])
-        assert first + 1 < len(iters) and all(c == 0 for c in iters[first + 1 :])
+        # the accelerated (tv) run factors every system, its first one included
+        assert a.iterations > 2 and stats["factorizations"] == stats["irls_iters"] == a.iterations
+        assert all(entry["cg_iters"] == 0 and entry["cg_tol"] == config.cg_tol for entry in a.energy_trace[1:])
+
+    def test_tuned_factor_same_fill_and_solution(self, stiff_system):
+        graph, f, z, lam, eps = stiff_system
+        stats = {}
+        u = solve_u(graph, f, z, lam, eps, cg_tol=1e-10, stats=stats, factor=True)
+        assert stats["factored"] and stats["cg_iters"] == 0
+        A = system_matrix(graph, z, lam, eps)
+        default = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert stats["factor_nnz"] == default.nnz
+        direct = spla.spsolve(A, f)
+        assert np.linalg.norm(u - direct) <= 1e-10 * np.linalg.norm(direct)
 
 
 class TestOneOrderingPerRun:
