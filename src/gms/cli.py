@@ -285,8 +285,13 @@ def cmd_consistency(args) -> dict:
     k_list = _int_list(args.k, "--k")
     outputs = []
     record = {"inputs": [], "outputs": outputs}
-    if args.mode in ("binning", "both"):
-        rows = density_deviation_curve(n_list, d=args.d, seed=args.seed)
+    # both experiments run before either file is written, so a rejected
+    # --d or --k leaves no output behind
+    binning = args.mode in ("binning", "both")
+    rows = density_deviation_curve(n_list, d=args.d, seed=args.seed) if binning else []
+    spikes = args.mode in ("counterexample", "both")
+    results = [dyadic_counterexample(k, alpha=args.alpha, d=args.counter_d) for k in k_list] if spikes else []
+    if binning:
         path = args.out + ".binning.csv"
         with open(path, "w", newline="") as fh:
             fh.write("n,delta,sup_deviation,ell,eps,ell_over_eps,seed\n")
@@ -298,19 +303,17 @@ def cmd_consistency(args) -> dict:
         outputs.append(path)
         for r in rows:
             print(f"n={r['n']} sup|density-1|={r['sup_deviation']:.4f}")
-    if args.mode in ("counterexample", "both"):
+    if spikes:
         path = args.out + ".counterexample.jsonl"
-        record["pairs"] = []
+        record["pairs"] = [{"k": res["k"], **res["pairs"]} for res in results]
         with open(path, "w") as fh:
-            for k in k_list:
-                res = dyadic_counterexample(k, alpha=args.alpha, d=args.counter_d)
-                record["pairs"].append({"k": res["k"], **res["pairs"]})
+            for res in results:
                 fh.write(
                     json.dumps({"k": res["k"], "d": res["d"], "l1": res["l1"],
                                 "energy": res["energy"], "max_u": res["max_u"]})
                     + "\n"
                 )
-                print(f"k={k} l1={res['l1']:.4f} energy={res['energy']:.4f}")
+                print(f"k={res['k']} l1={res['l1']:.4f} energy={res['energy']:.4f}")
         outputs.append(path)
     return record
 
@@ -329,6 +332,8 @@ def render_svg(points, values, edge_list, out_path):
     values = np.asarray(values, dtype=float)
     if len(points) != len(values):
         raise ValidationError("points and values must have equal length")
+    if points.ndim != 2 or points.shape[1] < 2:
+        raise ValidationError("plot needs points with at least 2 coordinates")
     lo = points.min(axis=0)
     span = points.max(axis=0) - lo
     span[span == 0] = 1.0

@@ -74,6 +74,8 @@ def density_deviation_curve(n_list: Sequence[int], d: int = 2, seed: int = 0) ->
     the infinity-transport distance is the box diameter sqrt(d)*delta,
     reported against eps_n = 0.7 n^{-1/4}.
     """
+    if d < 1:
+        raise ValidationError(f"d must be a positive integer, got {d}")
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_list:
@@ -108,6 +110,8 @@ def dyadic_counterexample(k: int, alpha: float = 0.7, d: int = 3) -> dict:
     Returns the L^1 norm, the energy, the spike count, the sup norm, and the
     candidate-pair counts of the energy evaluation (``pairs``).
     """
+    if k < 1:
+        raise ValidationError(f"k must be a positive integer, got {k}")
     if not (0.5 < alpha < 1.0):
         raise ValidationError("alpha must lie in (1/2, 1)")
     if d < 3:

@@ -12,7 +12,6 @@ the discrete-vs-continuum ratio experiments.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .core import ValidationError, ZetaSpec, zeta_derivative, zeta_limit, zeta_value
-from .energy import pair_terms
+from .energy import check_exponents, pair_terms
 
 __all__ = [
     "omega_ball_volume",
@@ -100,8 +99,7 @@ def sphere_moment_mc(p: float, d: int, n_samples: int = 10**6, seed: int = 0) ->
 
 def theta_eta(p: float, q: float, d: int, eta: Callable) -> float:
     """Gradient-term constant: sphere moment times int t^{p-q+d-1} eta(t) dt."""
-    if not (0 <= q < p):
-        raise ValidationError("q must lie in [0, p)")
+    check_exponents(p, q)
     return sphere_moment(p, d) * radial_moment(eta, p - q + d - 1)
 
 
@@ -222,30 +220,29 @@ def continuum_ms(constants: LimitConstants, case) -> float:
     raise ValidationError(f"unsupported case type {type(case).__name__}")
 
 
-# Upper bound on the candidate pairs (rows x columns) compared in one block.
-# It keeps each float temporary at 256 KB, within the CPU caches: on a
-# 2-core x86 box the gamma-step enumeration (2-D, n=64k, 1.0e8 pairs) took
-# 2.1 s with 2**15 and 3.2 s with 2**17.  A block is also the unit that is
-# skipped when its rows and columns all carry one value, so the partition
-# stays the same whether or not values are given.
-_BLOCK_CANDIDATES = 1 << 15
+# Upper bound on the candidate pairs compared in one chunk, besides its last
+# run.  On a 2-core x86 box the spike-d3 enumeration (3-D, k=5) took at least
+# 0.23, 0.20, 0.21 and 0.26 s with 2**13 to 2**16: smaller chunks cost Python
+# overhead, larger ones page faults (8,000 a call with 2**15, 500 with 2**14).
+_BLOCK_CANDIDATES = 1 << 14
 
 
 def _cell_order(points: np.ndarray, radius: float):
-    """The permutation into cell order, and the cell coordinates in that order.
+    """The permutation into row order, and the row cells in that order.
 
-    Points are bucketed into cells of side just over radius/2, so a pair within
-    the radius is at most two cells apart on every axis.  Cells are keyed by
-    their integer coordinates and sorted lexicographically, so a run of
-    neighbor cells along the last axis is one contiguous strip of points.
+    Every axis but the last is bucketed into cells of side just over
+    radius/2, so a pair within the radius is at most two cells apart on each
+    of them.  Points that share those cells form a row.  Rows are sorted
+    lexicographically by their cells, and each row by its last coordinate;
+    for d = 1 the whole cloud is one row.
     """
-    lo = points.min(axis=0)
+    lo = points[:, :-1].min(axis=0)
     scale = float(np.max(np.abs(points)))
     # The margin covers rounding in the cell index and in d2 <= r2; the
     # scale term also keeps every cell index below 2^42.
     side = max(0.5 * radius * (1.0 + 2.0**-40) + scale * 2.0**-40, np.finfo(float).tiny)
-    cells = np.floor((points - lo) / side).astype(np.int64)
-    order = np.lexsort(cells.T[::-1])
+    cells = np.floor((points[:, :-1] - lo) / side).astype(np.int64)
+    order = np.lexsort((points[:, -1], *cells.T[::-1]))
     return order, cells[order]
 
 
@@ -255,94 +252,68 @@ def _cell_pairs(
     """Yield (i_idx, j_idx, r) chunks covering every unordered pair within radius.
 
     ``order`` and ``cells`` are what ``_cell_order`` gives for ``points``.
-    The yielded indices are positions in cell order, so ``order`` maps them
-    back to rows of ``points``.  Each occupied cell is compared against
-    its own row of cells from itself forward and against the
-    two-cells-either-side strip of every lexicographically forward neighbor
-    row, so each pair appears exactly once.  A strip is compared in blocks of
-    at most ``_BLOCK_CANDIDATES`` candidate pairs.  Squared distances are
-    summed one coordinate at a time, in axis order.
+    The yielded indices are positions in row order, so ``order`` maps them
+    back to rows of ``points``.  Each row is swept against itself and every
+    lexicographically forward row at most two cells away: point i meets the
+    run [lo_i, hi_i) of a row that lies within reach along the last axis,
+    after i in its own row, so each pair appears exactly once.  A chunk holds
+    the runs of whole points, fewer than ``_BLOCK_CANDIDATES`` candidate
+    pairs plus one run, and a run never exceeds its row.  Squared distances
+    are summed one coordinate at a time, in axis order.
 
-    When ``values`` (in cell order) is given, a block whose rows and columns
-    all carry one value is skipped before any distance is computed.  When
-    ``stats`` is given, it receives the candidate pairs (rows x columns,
-    summed over blocks) ``compared`` and ``skipped``.
+    With ``values`` (in row order), point i is skipped against a row where
+    its whole run carries u_i.  ``stats`` receives the candidate pairs (run
+    lengths, summed) ``compared`` and ``skipped``.
     """
     n, d = points.shape
-    r2 = radius**2
+    # twice the cell side, with the same margin for rounding
+    reach = radius * (1.0 + 2.0**-40) + float(np.max(np.abs(points))) * 2.0**-39
     coords = [points[order, k] for k in range(d)]
+    last = coords[-1]
 
-    new_cell = np.ones(n, dtype=bool)
-    new_cell[1:] = np.any(cells[1:] != cells[:-1], axis=1)
-    starts = np.flatnonzero(new_cell)
-    keys = cells[starts].tolist()
-    starts = starts.tolist()
-    ends = starts[1:] + [n]
-    # row (all but the last cell coordinate) -> (first cell, last coordinates)
-    rows: dict[tuple, tuple[int, list[int]]] = {}
-    for c, key in enumerate(keys):
-        rows.setdefault(tuple(key[:-1]), (c, []))[1].append(key[-1])
-    forward = [o for o in itertools.product(range(-2, 3), repeat=d - 1) if o > (0,) * (d - 1)]
+    keys, starts = np.unique(cells, axis=0, return_index=True)
+    rows = dict(zip(map(tuple, keys.tolist()), itertools.pairwise([*starts.tolist(), n])))
+    forward = [o for o in itertools.product(range(-2, 3), repeat=d - 1) if o >= (0,) * (d - 1)]
 
     if values is not None:
-        # run_start[k]: first index of the run of equal values holding k, so
-        # values[a:b] is one value exactly when run_start[b - 1] <= a
-        new_run = np.ones(n, dtype=bool)
-        new_run[1:] = values[1:] != values[:-1]
-        run_start = np.maximum.accumulate(np.where(new_run, np.arange(n), 0))
+        # run[k]: which run of equal values holds k
+        run = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
     compared = skipped = 0
 
-    def strip(s0, e0, s1, e1, same):
-        # points s0:e0 against s1:e1, in blocks of at most _BLOCK_CANDIDATES
-        nonlocal compared, skipped
-        cstep = min(e1 - s1, _BLOCK_CANDIDATES)
-        rstep = _BLOCK_CANDIDATES // cstep
-        for i0 in range(s0, e0, rstep):
-            i1 = min(e0, i0 + rstep)
-            for j0 in range(s1, e1, cstep):
-                j1 = min(e1, j0 + cstep)
-                if (
-                    values is not None
-                    and run_start[i1 - 1] <= i0
-                    and run_start[j1 - 1] <= j0
-                    and values[i0] == values[j0]
-                ):
-                    skipped += (i1 - i0) * (j1 - j0)
-                    continue
-                compared += (i1 - i0) * (j1 - j0)
-                d2 = np.subtract.outer(coords[0][i0:i1], coords[0][j0:j1])
-                d2 *= d2
-                for x in coords[1:]:
-                    diff = np.subtract.outer(x[i0:i1], x[j0:j1])
-                    diff *= diff
-                    d2 += diff
-                # 2-D np.nonzero is several times slower than this flat split
-                flat = np.flatnonzero(d2 <= r2)
-                ia = flat // (j1 - j0)
-                ib = flat - ia * (j1 - j0)
-                r = np.sqrt(d2.ravel().take(flat))
-                ia += i0
-                ib += j0
-                if same:
-                    keep = ia < ib
-                    ia, ib, r = ia[keep], ib[keep], r[keep]
-                if len(ia):
-                    yield ia, ib, r
-
-    for key, s0, e0 in zip(keys, starts, ends):
-        *lead, last = key
-        first, lasts = rows[tuple(lead)]
-        stop = first + bisect.bisect_right(lasts, last + 2)
-        yield from strip(s0, e0, s0, ends[stop - 1], True)
+    for key, (s0, e0) in rows.items():
         for off in forward:
-            row = rows.get(tuple(a + b for a, b in zip(lead, off)))
+            row = rows.get(tuple(k + o for k, o in zip(key, off)))
             if row is None:
                 continue
-            first, lasts = row
-            k0 = first + bisect.bisect_left(lasts, last - 2)
-            k1 = first + bisect.bisect_right(lasts, last + 2)
-            if k0 < k1:
-                yield from strip(s0, e0, starts[k0], ends[k1 - 1], False)
+            s1, e1 = row
+            i = np.arange(s0, e0)
+            # in its own row, i's window reaches back to i itself
+            lo = i + 1 if s1 == s0 else s1 + np.searchsorted(last[s1:e1], last[s0:e0] - reach)
+            hi = s1 + np.searchsorted(last[s1:e1], last[s0:e0] + reach, "right")
+            live = hi > lo
+            i, lo, hi = i[live], lo[live], hi[live]
+            if values is not None:
+                same = (values[lo] == values[i]) & (run[lo] == run[hi - 1])
+                skipped += int(np.sum(hi[same] - lo[same]))
+                i, lo, hi = i[~same], lo[~same], hi[~same]
+            count = hi - lo
+            compared += int(np.sum(count))
+            # chunk c: the points whose runs start in [c, c + 1) * _BLOCK_CANDIDATES
+            start = np.cumsum(count) - count
+            cuts = np.flatnonzero(np.diff(start // _BLOCK_CANDIDATES, prepend=-1)).tolist()
+            for a, b in zip(cuts, cuts[1:] + [len(i)]):
+                runs = count[a:b]
+                # stream position t of point k's run is window index t + lo[k] - start[k]
+                ib = np.repeat(lo[a:b] - start[a:b], runs)
+                ib += np.arange(start[a], start[b - 1] + runs[-1])
+                d2 = np.zeros(len(ib))
+                for x in coords:
+                    diff = np.repeat(x[i[a:b]], runs)
+                    diff -= x.take(ib)
+                    diff *= diff
+                    d2 += diff
+                near = np.flatnonzero(d2 <= radius**2)
+                yield np.repeat(i[a:b], runs).take(near), ib.take(near), np.sqrt(d2.take(near))
     if stats is not None:
         stats.update(compared=compared, skipped=skipped)
 
@@ -361,23 +332,24 @@ def sampled_energy(
     """Fidelity-free energy evaluated directly from a point cloud.
 
     Equivalent to building the uncapped geometric graph and calling gms_energy,
-    but streams the pairs within the cutoff radius block by block, so the full
-    edge list is never materialized.  The pairs come from a cell list with
-    cells of side radius/2, compared as strips of neighbor cells along the
-    last axis; each block holds a bounded number of candidate pairs, so memory
-    stays fixed however many pairs there are.  Values are gathered once into
-    cell order and read there with the kernel's indices.  When zeta(0) = 0
-    and q = 0, a pair with u_i = u_j adds exactly 0, so blocks whose rows and
-    columns all carry one value are skipped unevaluated.  Block sums are
-    combined with math.fsum, so skipping leaves the result bit for bit.
+    but streams the pairs within the cutoff radius chunk by chunk, so the full
+    edge list is never materialized.  The pairs come from a sorted sweep: rows
+    of cells of side radius/2 on every axis but the last, each sorted along
+    the last axis, so a point's candidates in a neighbor row are one run.
+    Each chunk holds a bounded number of candidate pairs, so memory stays
+    fixed however many pairs there are.  Values are gathered once into row
+    order and read there with the kernel's indices.  When zeta(0) = 0 and
+    q = 0, a pair with u_i = u_j adds exactly 0, so a point is skipped
+    unevaluated against a row where its whole run carries u_i.  Chunk sums are
+    combined with math.fsum; skipping changes which terms share a chunk, so it
+    can move the result in the last bits only.
 
     When ``stats`` is given, it receives the candidate pairs ``compared``
     and ``skipped`` (see ``_cell_pairs``).
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
-    if not (0 <= q < p):
-        raise ValidationError("q must lie in [0, p)")
+    check_exponents(p, q)
     n, d = points.shape
     if values.shape != (n,):
         raise ValidationError(f"values must have length {n}")

@@ -16,7 +16,10 @@ import numpy as np
 from .core import ValidationError, ZetaSpec, zeta_value
 from .graph import SparseGraph
 
-__all__ = ["EnergyBreakdown", "exact_sum", "pair_terms", "gms_energy", "objective_sec6", "objective_sec1"]
+__all__ = [
+    "EnergyBreakdown", "exact_sum", "check_exponents", "pair_terms", "gms_energy", "objective_sec6",
+    "objective_sec1",
+]
 
 
 class SingularityError(ValueError):
@@ -63,6 +66,14 @@ def exact_sum(x) -> float:
             total += ((int(h) << 26) + int(lo)) << b
     shift = low - 53
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
+def check_exponents(p: float, q: float) -> None:
+    """Raise ValidationError unless p is positive and finite and 0 <= q < p."""
+    if not 0 < p < math.inf:
+        raise ValidationError(f"p must be positive and finite, got {p}")
+    if not 0 <= q < p:
+        raise ValidationError(f"q must lie in [0, p), got {q}")
 
 
 def _check_u(graph: SparseGraph, u) -> np.ndarray:
@@ -112,8 +123,7 @@ def gms_energy(
 ) -> float:
     """Fidelity-free energy (1/(eps n^2)) sum_{i,j} zeta(|du|^p / (eps^{p-1-q} r^q)) w_ij."""
     u = _check_u(graph, u)
-    if not (0 <= q < p):
-        raise ValidationError("q must lie in [0, p)")
+    check_exponents(p, q)
     if graph.n_edges == 0:
         return 0.0
     terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, p, q)

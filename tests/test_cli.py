@@ -560,6 +560,18 @@ class TestGamma:
         err = capsys.readouterr().err
         assert not out.exists() and f"{flag} must be positive and finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--p", "nan"), ("--p", "inf"), ("--p", "-1"), ("--p", "0"), ("--q", "nan"), ("--q", "-1"), ("--q", "2")],
+    )
+    def test_bad_exponent_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "gamma.csv"
+        assert run("gamma", "--case", "step", "--n", "500", f"{flag}={value}", "--out", out) == 2
+        err = capsys.readouterr().err
+        other = "--q" if flag == "--p" else "--p"
+        assert f"error: {flag[2:]} must" in err and f"error: {other[2:]} must" not in err
+        assert not out.exists() and "Traceback" not in err
+
     def test_divergent_integral_exit_2(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
             raise gms.cli.DivergentIntegralError("kernel moment did not converge")
@@ -584,6 +596,24 @@ class TestConsistency:
         assert rows[0]["k"] == 3 and 2**-3 <= rows[0]["l1"] <= 2**3
         (entry,) = json.loads((tmp_path / "cons.manifest.json").read_text())["pairs"]
         assert entry["k"] == 3 and entry["compared"] > 0 and entry["skipped"] > 0
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["--mode", "binning", "--d=0"], "d"),
+            (["--mode", "binning", "--d=-1"], "d"),
+            (["--mode", "counterexample", "--k=0"], "k"),
+            (["--mode", "counterexample", "--k=-1"], "k"),
+            (["--mode", "both", "--k=0"], "k"),
+        ],
+    )
+    def test_nonpositive_dimension_or_level_exit_2(self, tmp_path, capsys, args, flag):
+        stem = tmp_path / "cons"
+        assert run("consistency", *args, "--n", "1000", "--out", stem) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be a positive integer" in err and "Traceback" not in err
+        assert not (tmp_path / "cons.binning.csv").exists()
+        assert not (tmp_path / "cons.counterexample.jsonl").exists()
 
 
 class TestHousing:
@@ -665,6 +695,14 @@ class TestPlot:
 
         with pytest.raises(ValidationError):
             render_svg(np.zeros((2, 2)), np.zeros(2), [(0, 5)], tmp_path / "x.svg")
+
+    def test_one_coordinate_points_exit_2(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        write_cloud_csv(pts, PointCloud(points=[[0.0], [1.0]], labels=[0.0, 1.0]))
+        assert run("plot", "--points", pts, "--out", tmp_path / "p.svg") == 2
+        err = capsys.readouterr().err
+        assert "at least 2 coordinates" in err and "Traceback" not in err
+        assert not (tmp_path / "p.svg").exists()
 
 
 def _write_houses(path, n=50):

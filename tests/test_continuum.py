@@ -177,7 +177,7 @@ class TestSampledEnergy:
 
     def test_zero_distance_singularity_names_input_labels(self, rng, ms_spec):
         # Equal values on the duplicated pair must not hide it: q > 0 skips no
-        # block.  Cell order permutes the points, and the message must name
+        # point.  Row order permutes the points, and the message must name
         # them as the caller numbered them.
         pts = rng.random((200, 2))
         pts[150] = pts[17]
@@ -195,7 +195,7 @@ class TestSampledEnergy:
             sampled_energy(rng.random((50, 2)), np.full(50, bad), ms_spec, 0.1)
 
     def test_pair_counts(self, rng, ms_spec, tv_spec):
-        # A step skips the blocks on either side of it; tv (zeta(0) = delta)
+        # A step skips the runs on either side of it; tv (zeta(0) = delta)
         # and q > 0 skip none.  The candidates add up to the same total.
         pts = rng.random((3000, 2))
         u = np.where(pts[:, 0] > 0.5, 1.0, 0.0)
@@ -304,10 +304,12 @@ def clouds(draw):
 
 class TestCellPairs:
     @settings(max_examples=200, deadline=None)
-    @given(clouds())
-    def test_matches_brute_force(self, cloud):
+    @given(clouds(), st.sampled_from([1, 64, continuum._BLOCK_CANDIDATES]))
+    def test_matches_brute_force(self, cloud, block):
         points, radius = cloud
-        found = kernel_pairs(points, radius)
+        # small chunks end inside a row's sweep; with 1, every run is longer than a chunk
+        with patch.object(continuum, "_BLOCK_CANDIDATES", block):
+            found = kernel_pairs(points, radius)
         expected = brute_pairs(points, radius)
         assert found.keys() == expected.keys()
         # bit-equal: the same per-coordinate summation order
@@ -335,7 +337,7 @@ class TestCellPairs:
 
 
 class TestConstantBlockSkip:
-    """Skipping constant blocks leaves the energy equal to the brute-force oracle."""
+    """Skipping constant runs leaves the energy equal to the brute-force oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -351,7 +353,7 @@ class TestConstantBlockSkip:
         config = small_config(eps=radius, k_max=n, sigma=1.0, cutoff_multiplier=1.0)
         graph = brute_force_graph(PointCloud(points=points), config)
         stats = {}
-        # small blocks split strips, so a skip can stop partway along one
+        # small chunks split a row's sweep, so a skip can fall inside a chunk
         with patch.object(continuum, "_BLOCK_CANDIDATES", block):
             try:
                 oracle = gms_energy(graph, u, spec, radius, q=q)
