@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .consistency import density_deviation_curve, dyadic_counterexample
 from .continuum import DivergentIntegralError, SmoothCase, StepCase, gamma_experiment
-from .core import PointCloud, SolverConfig, ValidationError, ZetaSpec
+from .core import PointCloud, SolverConfig, ValidationError, ZetaSpec, write_rows
 from .datasets import (
     DEFAULT_MAX_LONGITUDE,
     IngestError,
@@ -120,22 +120,21 @@ def read_cloud_csv(path) -> PointCloud:
 
 
 def write_cloud_csv(path, cloud: PointCloud) -> None:
+    """Write a point/label CSV with header x0,...,x{d-1}[,f] and \\r\\n line ends."""
+    header = [f"x{i}" for i in range(cloud.dim)]
+    columns = list(cloud.points.T)
+    if cloud.labels is not None:
+        header.append("f")
+        columns.append(cloud.labels)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = [f"x{i}" for i in range(cloud.dim)]
-        if cloud.labels is not None:
-            cols.append("f")
-        writer.writerow(cols)
-        for i in range(cloud.n):
-            row = [f"{v:.17g}" for v in cloud.points[i]]
-            if cloud.labels is not None:
-                row.append(f"{cloud.labels[i]:.17g}")
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        write_rows(fh, ",".join(["%.17g"] * len(columns)) + "\r\n", columns)
 
 
 def _write_values_csv(path, name, values) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(name + "\n" + "".join(f"{v:.17g}\n" for v in np.asarray(values).tolist()))
+        fh.write(name + "\n")
+        write_rows(fh, "%.17g\n", [values])
 
 
 def _read_values_csv(path) -> np.ndarray:
@@ -239,10 +238,10 @@ def cmd_edges(args) -> dict:
             f"solution length {len(u)} does not match graph vertex count {graph.n}"
         )
     flagged = detect_edges(graph, u, args.jump)
+    ii, jj = np.array(flagged, dtype=np.int64).reshape(-1, 2).T
     with open(args.out, "w", newline="") as fh:
         fh.write("i,j,jump\n")
-        for i, j in flagged:
-            fh.write(f"{i},{j},{abs(u[i] - u[j]):.17g}\n")
+        write_rows(fh, "%d,%d,%.17g\n", (ii, jj, np.abs(u[ii] - u[jj])))
     print(f"edges: {len(flagged)} flagged")
     return {"inputs": [args.graph, args.solution], "outputs": [args.out]}
 
@@ -267,13 +266,10 @@ def cmd_gamma(args) -> dict:
         case, n_list, spec, p=args.p, q=args.q, seed=args.seed,
         sigma=args.sigma, cutoff_multiplier=args.cutoff,
     )
+    keys = ("n", "eps", "discrete", "continuum", "ratio", "seed")
     with open(args.out, "w", newline="") as fh:
-        fh.write("n,eps,discrete,continuum,ratio,seed\n")
-        for r in rows:
-            fh.write(
-                f"{r['n']},{r['eps']:.17g},{r['discrete']:.17g},"
-                f"{r['continuum']:.17g},{r['ratio']:.17g},{r['seed']}\n"
-            )
+        fh.write(",".join(keys) + "\n")
+        write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g,%d\n", [[r[key] for r in rows] for key in keys])
     for r in rows:
         print(f"n={r['n']} eps={r['eps']:.4f} ratio={r['ratio']:.4f}")
     pairs = [{"n": r["n"], **r["pairs"]} for r in rows]
@@ -293,13 +289,10 @@ def cmd_consistency(args) -> dict:
     results = [dyadic_counterexample(k, alpha=args.alpha, d=args.counter_d) for k in k_list] if spikes else []
     if binning:
         path = args.out + ".binning.csv"
+        keys = ("n", "delta", "sup_deviation", "ell", "eps", "ell_over_eps", "seed")
         with open(path, "w", newline="") as fh:
-            fh.write("n,delta,sup_deviation,ell,eps,ell_over_eps,seed\n")
-            for r in rows:
-                fh.write(
-                    f"{r['n']},{r['delta']:.17g},{r['sup_deviation']:.17g},"
-                    f"{r['ell']:.17g},{r['eps']:.17g},{r['ell_over_eps']:.17g},{r['seed']}\n"
-                )
+            fh.write(",".join(keys) + "\n")
+            write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n", [[r[key] for r in rows] for key in keys])
         outputs.append(path)
         for r in rows:
             print(f"n={r['n']} sup|density-1|={r['sup_deviation']:.4f}")
@@ -318,57 +311,47 @@ def cmd_consistency(args) -> dict:
     return record
 
 
-# Fixed color ramp for the SVG scatter: linear blue (low) to red (high).
-def _ramp(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
-    r = int(round(255 * v))
-    b = int(round(255 * (1.0 - v)))
-    return f"#{r:02x}40{b:02x}"
-
-
 def render_svg(points, values, edge_list, out_path):
-    """Write an 800-pixel square SVG of the points colored by value, with edge_list in red."""
+    """Write an 800-pixel square SVG of the points colored by value, with edge_list in red.
+
+    Colors follow a fixed linear ramp from blue (lowest value) to red (highest).
+    """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(points) != len(values):
         raise ValidationError("points and values must have equal length")
     if points.ndim != 2 or points.shape[1] < 2:
         raise ValidationError("plot needs points with at least 2 coordinates")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("plot values must be finite")
+    for i, j in edge_list:
+        if not (0 <= i < len(points) and 0 <= j < len(points)):
+            raise ValidationError(f"edge ({i}, {j}) out of range")
+    ii, jj = np.array(edge_list, dtype=np.int64).reshape(-1, 2).T
     lo = points.min(axis=0)
     span = points.max(axis=0) - lo
     span[span == 0] = 1.0
     size, margin = 800, 20
     scale = (size - 2 * margin) / span.max()
-
-    def to_px(pt):
-        x = margin + (pt[0] - lo[0]) * scale
-        y = size - margin - (pt[1] - lo[1]) * scale
-        return x, y
-
+    x = margin + (points[:, 0] - lo[0]) * scale
+    y = size - margin - (points[:, 1] - lo[1]) * scale
     vmin, vmax = float(values.min()), float(values.max())
     vspan = vmax - vmin if vmax > vmin else 1.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
-    for i, j in edge_list:
-        if not (0 <= i < len(points) and 0 <= j < len(points)):
-            raise ValidationError(f"edge ({i}, {j}) out of range")
-        x1, y1 = to_px(points[i])
-        x2, y2 = to_px(points[j])
-        parts.append(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            'stroke="red" stroke-width="1.5"/>'
-        )
-    for pt, v in zip(points, values):
-        x, y = to_px(pt)
-        parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="{_ramp((v - vmin) / vspan)}"/>'
-        )
-    parts.append("</svg>")
+    level = np.minimum(np.maximum((values - vmin) / vspan, 0.0), 1.0)
+    # np.round, like round, takes halves to the even neighbor
+    red = np.round(255 * level).astype(np.int64)
+    blue = np.round(255 * (1.0 - level)).astype(np.int64)
     with open(out_path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">\n<rect width="{size}" height="{size}" fill="white"/>\n'
+        )
+        write_rows(
+            fh, '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="red" stroke-width="1.5"/>\n',
+            (x[ii], y[ii], x[jj], y[jj]),
+        )
+        write_rows(fh, '<circle cx="%.2f" cy="%.2f" r="2" fill="#%02x40%02x"/>\n', (x, y, red, blue))
+        fh.write("</svg>\n")
 
 
 def cmd_plot(args) -> dict:
@@ -494,7 +477,7 @@ def main(argv=None) -> int:
         record = args.func(args)
         _write_manifest(args, record, time.time() - t0)
         return 0
-    except (ValidationError, IngestError, SingularityError, DivergentIntegralError, FileNotFoundError) as exc:
+    except (ValidationError, IngestError, SingularityError, DivergentIntegralError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

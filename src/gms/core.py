@@ -1,4 +1,4 @@
-"""Shared domain types and the concave saturation functions."""
+"""Shared domain types, the concave saturation functions and the block writer for numeric tables."""
 
 from __future__ import annotations
 
@@ -19,6 +19,27 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised when an input violates a structural invariant."""
+
+
+# Rows that write_rows formats and writes at a time.
+_SAVE_BLOCK = 4096
+
+
+def write_rows(fh, row_format: str, columns) -> None:
+    """Write one ``row_format`` line per row of the equal-length ``columns``.
+
+    Rows are formatted one block at a time, by one %-format of the block's
+    interleaved Python scalars: whole-array tolist() or one joined string
+    would hold every row in memory at once.
+    """
+    columns = [np.asarray(column) for column in columns]
+    n, k = len(columns[0]), len(columns)
+    for s in range(0, n, _SAVE_BLOCK):
+        m = min(_SAVE_BLOCK, n - s)
+        fields = [None] * (k * m)
+        for c, column in enumerate(columns):
+            fields[c::k] = column[s : s + _SAVE_BLOCK].tolist()
+        fh.write(row_format * m % tuple(fields))
 
 
 @dataclass(frozen=True)

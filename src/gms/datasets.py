@@ -96,8 +96,8 @@ def generate_synthetic(n: int, noise_std: float = 0.2, seed: int = 0) -> Synthet
     """n uniform samples on [0,1]^2, labels = truth + N(0, noise_std^2), reproducible."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if noise_std < 0:
-        raise ValidationError("noise_std must be nonnegative")
+    if not 0 <= noise_std < np.inf:
+        raise ValidationError(f"noise_std must be nonnegative and finite, got {noise_std}")
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     truth = truth_values(points)

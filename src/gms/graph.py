@@ -14,14 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import PointCloud, SolverConfig, ValidationError
+from .core import PointCloud, SolverConfig, ValidationError, write_rows
 
 __all__ = ["SparseGraph", "build_geometric_graph", "brute_force_graph", "save_graph", "load_graph"]
 
 BRUTE_FORCE_GUARD = 5000
-
-# Edge rows that save_graph formats and writes at a time.
-_SAVE_BLOCK = 4096
 
 # One row of the edge-list file: "i j weight distance".
 _EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", float), ("r", float)])
@@ -193,17 +190,7 @@ def save_graph(graph: SparseGraph, path) -> None:
     """Write the edge-list text format: header "n d eps sigma", then "i j weight distance"."""
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {graph.dim} {graph.eps:.17g} {graph.sigma:.17g}\n")
-        # Rows are formatted one block at a time, by one %-format of the block's
-        # interleaved Python scalars: whole-array tolist() or one joined file
-        # would hold every row in memory at once.
-        columns = (graph.ii, graph.jj, graph.weights, graph.distances)
-        for s in range(0, graph.n_edges, _SAVE_BLOCK):
-            block = slice(s, s + _SAVE_BLOCK)
-            m = len(graph.ii[block])
-            fields = [None] * (4 * m)
-            for k, column in enumerate(columns):
-                fields[k::4] = column[block].tolist()
-            fh.write(_EDGE_FORMAT * m % tuple(fields))
+        write_rows(fh, _EDGE_FORMAT, (graph.ii, graph.jj, graph.weights, graph.distances))
 
 
 def load_graph(path) -> SparseGraph:

@@ -304,6 +304,21 @@ class TestEnvironmentManifest:
         }
 
 
+class TestEdgesTable:
+    def test_golden_bytes(self, tmp_path):
+        cloud = PointCloud(points=[[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.1, 0.1]])
+        config = SolverConfig(eps=0.1, sigma=1.0, k_max=3, cutoff_multiplier=1.5)
+        save_graph(build_geometric_graph(cloud, config), tmp_path / "g.txt")
+        _write_values_csv(tmp_path / "u.csv", "u", [0.0, 1 / 3, -0.7, 2.5e-300])
+        out = tmp_path / "e.csv"
+        assert run("edges", "--graph", tmp_path / "g.txt", "--solution", tmp_path / "u.csv",
+                   "--jump", "0.1", "--out", out) == 0
+        assert out.read_bytes() == (
+            b"i,j,jump\n0,1,0.33333333333333331\n0,2,0.69999999999999996\n"
+            b"1,2,1.0333333333333332\n1,3,0.33333333333333331\n2,3,0.69999999999999996\n"
+        )
+
+
 class TestEdgesValidation:
     def test_length_mismatch_exit_2(self, synth_files, tmp_path):
         cloud_path, _ = synth_files
@@ -387,6 +402,30 @@ class TestMalformedInput:
         assert not (tmp_path / "cons.binning.csv").exists()
 
 
+class TestUnreadablePath:
+    """A directory given as a file, or a file that is not UTF-8, exits 2 without a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--n", "10", "--out", "{dir}"],
+            ["denoise", "--input", "{dir}", "--out", "{dir}/u.csv"],
+            ["denoise", "--input", "{binary}", "--out", "{dir}/u.csv"],
+            ["edges", "--graph", "{binary}", "--solution", "{values}", "--jump", "0.1", "--out", "{dir}/e.csv"],
+            ["plot", "--points", "{binary}", "--out", "{dir}/p.svg"],
+        ],
+        ids=["synth-out-dir", "denoise-input-dir", "denoise-input-binary", "edges-graph-binary", "plot-points-binary"],
+    )
+    def test_exit_2(self, tmp_path, capsys, argv):
+        values = _fuzz_files(tmp_path)[2]
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"x0,x1,f\n\xff\xfe,1,2\n")
+        fill = {"dir": tmp_path, "binary": binary, "values": values}
+        assert run(*[arg.format(**fill) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestMalformedGraph:
     """``gms edges`` rejects a malformed graph file with exit code 2."""
 
@@ -456,6 +495,13 @@ class TestNonFiniteParameters:
         out = tmp_path / "u.csv"
         assert run("denoise", "--input", synth_files[0], "--out", out, "--zeta", "tv", flag, value) == 2
         assert not out.exists() and not (tmp_path / "u.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_synth_noise(self, tmp_path, capsys, value):
+        out = tmp_path / "c.csv"
+        assert run("synth", "--n", 10, "--noise", value, "--out", out) == 2
+        assert "noise_std must be nonnegative and finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value, code", [("nan", 2), ("inf", 0)])
     def test_edges_jump(self, tmp_path, value, code):
@@ -690,11 +736,36 @@ class TestPlot:
         render_svg(pts, vals, [(0, 1), (2, 3)], b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "g.svg"
+        points = [[0.0, 0.0], [1.0, 0.5], [0.3, 0.9], [0.7, 0.123]]
+        render_svg(points, [0.1, 0.7, 1 / 3, -0.2], [(0, 1), (2, 3)], path)
+        assert path.read_text() == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" viewBox="0 0 800 800">\n'
+            '<rect width="800" height="800" fill="white"/>\n'
+            '<line x1="20.00" y1="780.00" x2="780.00" y2="400.00" stroke="red" stroke-width="1.5"/>\n'
+            '<line x1="248.00" y1="96.00" x2="552.00" y2="686.52" stroke="red" stroke-width="1.5"/>\n'
+            '<circle cx="20.00" cy="780.00" r="2" fill="#5540aa"/>\n'
+            '<circle cx="780.00" cy="400.00" r="2" fill="#ff4000"/>\n'
+            '<circle cx="248.00" cy="96.00" r="2" fill="#974068"/>\n'
+            '<circle cx="552.00" cy="686.52" r="2" fill="#0040ff"/>\n'
+            "</svg>\n"
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        from gms.core import ValidationError
+
+        with pytest.raises(ValidationError, match="values must be finite"):
+            render_svg(np.zeros((2, 2)), [0.0, bad], [], tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
+
     def test_edge_out_of_range(self, tmp_path):
         from gms.core import ValidationError
 
-        with pytest.raises(ValidationError):
-            render_svg(np.zeros((2, 2)), np.zeros(2), [(0, 5)], tmp_path / "x.svg")
+        with pytest.raises(ValidationError, match=r"edge \(0, 5\) out of range"):
+            render_svg(np.zeros((2, 2)), np.zeros(2), [(1, 0), (0, 5), (-1, 0)], tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
 
     def test_one_coordinate_points_exit_2(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"

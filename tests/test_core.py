@@ -1,10 +1,13 @@
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gms import core
 from gms.core import (
     PointCloud,
     SolverConfig,
@@ -13,6 +16,7 @@ from gms.core import (
     zeta_derivative,
     zeta_limit,
     zeta_value,
+    write_rows,
 )
 
 ALL_SPECS = [
@@ -141,3 +145,29 @@ class TestSolverConfig:
         with pytest.raises(ValidationError):
             SolverConfig(lam=-1.0)
 
+
+
+class TestWriteRows:
+    """write_rows writes the bytes of the per-row f-string it replaced."""
+
+    ROWS = st.lists(
+        st.tuples(
+            st.integers(-(2**63), 2**63 - 1),
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        ),
+        max_size=12,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=ROWS, block=st.sampled_from([1, 2, 3, 5, core._SAVE_BLOCK]))
+    @example(rows=[], block=core._SAVE_BLOCK)
+    @example(rows=[(2**63 - 1, math.nan, -0.0), (-(2**63), math.inf, -math.inf), (0, 5e-324, -2.2e-308)], block=2)
+    @example(rows=[(k, k / 7, -k / 3) for k in range(core._SAVE_BLOCK + 1)], block=core._SAVE_BLOCK)
+    def test_matches_per_row_format(self, rows, block):
+        ints = np.array([r[0] for r in rows], dtype=np.int64)
+        floats = [np.array([r[c] for r in rows], dtype=float) for c in (1, 2)]
+        fh = io.StringIO()
+        with mock.patch.object(core, "_SAVE_BLOCK", block):
+            write_rows(fh, "%d,%.17g %.17g\n", (ints, *floats))
+        assert fh.getvalue() == "".join(f"{i},{x:.17g} {y:.17g}\n" for i, x, y in rows)

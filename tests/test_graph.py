@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gms import graph as graph_module
-from gms.core import PointCloud, ValidationError
+from gms.core import _SAVE_BLOCK, PointCloud, ValidationError
 from gms.graph import (
     SparseGraph,
     brute_force_graph,
@@ -227,7 +226,7 @@ class TestSaveLoad:
 
     def test_byte_roundtrip_across_write_blocks(self, rng, tmp_path):
         g = build_geometric_graph(random_cloud(rng, 2000), small_config(eps=0.1))
-        assert g.n_edges > 2 * graph_module._SAVE_BLOCK
+        assert g.n_edges > 2 * _SAVE_BLOCK
         first, second = tmp_path / "a.txt", tmp_path / "b.txt"
         save_graph(g, first)
         save_graph(load_graph(first), second)
@@ -235,7 +234,7 @@ class TestSaveLoad:
         assert len(first.read_text().splitlines()) == g.n_edges + 1
 
     def test_rows_match_shortest_repr_format(self, rng, tmp_path):
-        m = graph_module._SAVE_BLOCK + 4
+        m = _SAVE_BLOCK + 4
         awkward = [5e-324, 1e300, 0.1, 0.12345678901234567]
         weights = np.concatenate([awkward, rng.random(m - len(awkward))])
         distances = np.concatenate([awkward[::-1], rng.random(m - len(awkward)) * 1e-7])
