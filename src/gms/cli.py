@@ -25,7 +25,7 @@ import scipy
 from . import __version__
 from .consistency import density_deviation_curve, dyadic_counterexample
 from .continuum import DivergentIntegralError, SmoothCase, StepCase, gamma_experiment
-from .core import PointCloud, SolverConfig, ValidationError, ZetaSpec, write_rows
+from .core import PointCloud, SolverConfig, ValidationError, ZetaSpec, open_text, write_rows
 from .datasets import (
     DEFAULT_MAX_LONGITUDE,
     IngestError,
@@ -82,7 +82,7 @@ def _read_rows(path, columns: int) -> np.ndarray:
     other is read line by line, and the first line that is not ``columns``
     numbers is named in the error.
     """
-    with open(path) as fh, warnings.catch_warnings():
+    with open_text(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # header-only file
         fh.readline()
         try:
@@ -92,7 +92,7 @@ def _read_rows(path, columns: int) -> np.ndarray:
     if data is not None and (data.shape[1] == columns or data.size == 0):
         return data.reshape(-1, columns)
     rows = []
-    with open(path) as fh:
+    with open_text(path) as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -109,7 +109,7 @@ def _read_rows(path, columns: int) -> np.ndarray:
 
 def read_cloud_csv(path) -> PointCloud:
     """Read a point/label CSV with header x0,...,x{d-1}[,f]."""
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         header = next(csv.reader(fh), None)
     if not header or not header[0].startswith("x0"):
         raise ValidationError(f"{path}: expected header x0,...,f")
@@ -363,7 +363,7 @@ def cmd_plot(args) -> dict:
         raise ValidationError("values length does not match point count")
     edge_list = []
     if args.edges:
-        with open(args.edges) as fh:
+        with open_text(args.edges) as fh:
             next(fh, None)  # header
             for lineno, line in enumerate(fh, start=2):
                 if line.strip():
@@ -477,7 +477,7 @@ def main(argv=None) -> int:
         record = args.func(args)
         _write_manifest(args, record, time.time() - t0)
         return 0
-    except (ValidationError, IngestError, SingularityError, DivergentIntegralError, OSError, UnicodeDecodeError) as exc:
+    except (ValidationError, IngestError, SingularityError, DivergentIntegralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .core import ValidationError, ZetaSpec, zeta_derivative, zeta_limit, zeta_value
 from .energy import check_exponents, pair_terms
@@ -46,11 +45,11 @@ def omega_ball_volume(m: int) -> float:
     """Volume of the unit ball in R^m; omega_0 = 1 by convention."""
     if m < 0:
         raise ValidationError("dimension must be nonnegative")
-    return math.pi ** (m / 2) / gamma_fn(m / 2 + 1)
+    return math.pi ** (m / 2) / math.gamma(m / 2 + 1)
 
 
 class DivergentIntegralError(ValueError):
-    """A kernel moment required by the limiting constants does not converge."""
+    """A kernel moment required by the limiting constants does not converge or overflows a float."""
 
 
 def radial_moment(eta: Callable, power: float) -> float:
@@ -82,9 +81,9 @@ def sphere_moment(p: float, d: int) -> float:
     return (
         2.0
         * omega_ball_volume(d - 1)
-        * gamma_fn(p / 2 + 0.5)
-        * gamma_fn(d / 2 + 0.5)
-        / gamma_fn(p / 2 + d / 2)
+        * math.gamma(p / 2 + 0.5)
+        * math.gamma(d / 2 + 0.5)
+        / math.gamma(p / 2 + d / 2)
     )
 
 
@@ -98,9 +97,19 @@ def sphere_moment_mc(p: float, d: int, n_samples: int = 10**6, seed: int = 0) ->
 
 
 def theta_eta(p: float, q: float, d: int, eta: Callable) -> float:
-    """Gradient-term constant: sphere moment times int t^{p-q+d-1} eta(t) dt."""
+    """Gradient-term constant: sphere moment times int t^{p-q+d-1} eta(t) dt.
+
+    Raises DivergentIntegralError where a factor or the product overflows a
+    float, which in d = 2 happens from p of about 340 on.
+    """
     check_exponents(p, q)
-    return sphere_moment(p, d) * radial_moment(eta, p - q + d - 1)
+    try:
+        value = sphere_moment(p, d) * radial_moment(eta, p - q + d - 1)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DivergentIntegralError(f"the gradient-term constant at p={p:g} overflows a float")
+    return value
 
 
 def sigma_eta(d: int, eta: Callable) -> float:

@@ -1,7 +1,8 @@
-"""Shared domain types, the concave saturation functions and the block writer for numeric tables."""
+"""Shared domain types, the concave saturation functions, and the block writer and text opener of the file formats."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,20 @@ def write_rows(fh, row_format: str, columns) -> None:
         for c, column in enumerate(columns):
             fields[c::k] = column[s : s + _SAVE_BLOCK].tolist()
         fh.write(row_format * m % tuple(fields))
+
+
+@contextlib.contextmanager
+def open_text(path, **kwargs):
+    """``open(path)`` for reading UTF-8 text.
+
+    A byte that is not UTF-8, read anywhere in the ``with`` block, raises
+    ValidationError naming ``path``.
+    """
+    with open(path, encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 @dataclass(frozen=True)

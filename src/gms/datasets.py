@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointCloud, ValidationError
+from .core import PointCloud, ValidationError, open_text
 
 __all__ = [
     "SyntheticCase",
@@ -134,7 +134,7 @@ def ingest_housing(csv_path, max_longitude: float = DEFAULT_MAX_LONGITUDE, norma
     """
     required = {"long", "lat", "price", "sqft_living"}
     rows = []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open_text(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
             raise IngestError(

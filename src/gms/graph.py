@@ -12,9 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .core import PointCloud, SolverConfig, ValidationError, write_rows
+from .core import PointCloud, SolverConfig, ValidationError, open_text, write_rows
 
 __all__ = ["SparseGraph", "build_geometric_graph", "brute_force_graph", "save_graph", "load_graph"]
 
@@ -104,6 +103,10 @@ def _kept_pairs(points: np.ndarray, k_max: int, radius: float, workers: int):
     took the index tie-break fallback.  Being a function of its own, its
     query window and tree are freed before the symmetrization allocates.
     """
+    # Imported here, not at module level, so that a gms start that builds
+    # no graph does not load scipy.spatial.
+    from scipy.spatial import cKDTree
+
     n = len(points)
     if n == 1:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 0
@@ -203,7 +206,7 @@ def load_graph(path) -> SparseGraph:
     by (i, j) or repeated, indices outside [0, n), non-finite or inconsistent
     weights and distances).
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         try:
             if len(header) != 4:

@@ -38,8 +38,6 @@ and the run stops there.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .core import Solution, SolverConfig, ValidationError, ZetaSpec, zeta_derivative
 from .energy import objective_sec6
@@ -136,12 +134,16 @@ class SystemPattern:
 
 def system_matrix(
     graph: SparseGraph, z, lam: float, eps: float, pattern: SystemPattern | None = None
-) -> sp.csc_matrix:
-    """I + (2/(lam eps^2 n)) L_zw as a sparse CSC matrix.
+):
+    """I + (2/(lam eps^2 n)) L_zw as a scipy.sparse CSC matrix.
 
     Built on ``pattern`` if given (a new unpermuted one otherwise), so the
     rows and columns come in that pattern's vertex order.
     """
+    # Imported here and in solve_u, not at module level, so that a gms start
+    # that solves no system does not load scipy.sparse.
+    import scipy.sparse as sp
+
     z = np.asarray(z, dtype=float)
     if z.shape != (graph.n_edges,):
         raise ValidationError("z must have one entry per stored edge")
@@ -193,6 +195,8 @@ def solve_u(
     A factored solve adds ``stats["factor_nnz"]``, the nonzeros of L and U,
     and, if it computed an ordering, ``stats["perm_c"]``.
     """
+    import scipy.sparse.linalg as spla
+
     f = np.asarray(f, dtype=float)
     if f.shape != (graph.n,):
         raise ValidationError(f"f must have length {graph.n}")

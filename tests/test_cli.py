@@ -425,6 +425,25 @@ class TestUnreadablePath:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["denoise", "--input", "{binary}", "--truth", "{values}", "--out", "{dir}/out.csv"],
+            ["denoise", "--input", "{cloud}", "--truth", "{binary}", "--out", "{dir}/out.csv"],
+            ["edges", "--graph", "{binary}", "--solution", "{values}", "--jump", "0.1", "--out", "{dir}/out.csv"],
+            ["edges", "--graph", "{graph}", "--solution", "{binary}", "--jump", "0.1", "--out", "{dir}/out.csv"],
+        ],
+        ids=["denoise-input", "denoise-truth", "edges-graph", "edges-solution"],
+    )
+    def test_non_utf8_error_names_the_file(self, tmp_path, capsys, argv):
+        cloud, graph, values = _fuzz_files(tmp_path)
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"x0,x1,f\n\xff\xfe,1,2\n")
+        fill = {"dir": tmp_path, "binary": binary, "cloud": cloud, "graph": graph, "values": values}
+        assert run(*[arg.format(**fill) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {binary}: not UTF-8 text (invalid start byte)\n"
+        assert list(tmp_path.glob("out.csv*")) == []
+
 
 class TestMalformedGraph:
     """``gms edges`` rejects a malformed graph file with exit code 2."""
@@ -617,6 +636,14 @@ class TestGamma:
         other = "--q" if flag == "--p" else "--p"
         assert f"error: {flag[2:]} must" in err and f"error: {other[2:]} must" not in err
         assert not out.exists() and "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["400", "1000"])
+    def test_overflowing_constant_exit_2(self, tmp_path, capsys, p):
+        out = tmp_path / "gamma.csv"
+        assert run("gamma", "--case", "step", "--n", "500", "--p", p, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"p={p} overflows" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_divergent_integral_exit_2(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -860,14 +887,49 @@ def _readme_cli_lines():
     return lines
 
 
-def test_import_leaves_out_scipy_integrate():
-    # scipy.integrate (and scipy.optimize behind it) is needed only by the
-    # quadrature of the continuum constants, not at every start.
+# Run in a fresh interpreter: imports gms.cli, then runs each (name, argv) in
+# turn and prints, after the import and after each command, its exit code and
+# which of WATCHED scipy submodules are loaded.
+_IMPORT_SET_SCRIPT = """
+import contextlib, io, json, sys
+WATCHED = json.loads(sys.argv[1])
+loaded = lambda: sorted(m for m in WATCHED if m in sys.modules)
+import gms.cli
+report = [["import", 0, loaded()]]
+for name, argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gms.cli.main(argv)
+    report.append([name, code, loaded()])
+print(json.dumps(report))
+"""
+
+
+def test_commands_load_only_the_scipy_they_use(tmp_path):
+    # Each scipy submodule is imported by the one function that uses it, so
+    # gms.cli, synth, the spike counterexample, edges and plot load none of
+    # them.  denoise, run last, is the control: its solve loads scipy.sparse.linalg.
+    cloud, graph, values = _fuzz_files(tmp_path)
+    steps = [
+        ("synth", ["synth", "--n", "20", "--out", str(tmp_path / "s.csv")]),
+        ("consistency", ["consistency", "--mode", "counterexample", "--k", "3", "--out", str(tmp_path / "c")]),
+        ("edges", ["edges", "--graph", str(graph), "--solution", str(values), "--jump", "0.1",
+                   "--out", str(tmp_path / "e.csv")]),
+        ("plot", ["plot", "--points", str(cloud), "--edges", str(tmp_path / "e.csv"), "--out", str(tmp_path / "p.svg")]),
+        ("denoise", ["denoise", "--input", str(cloud), "--eps", "0.3", "--out", str(tmp_path / "u.csv")]),
+    ]
+    deferred = ["scipy.sparse", "scipy.spatial", "scipy.special", "scipy.integrate", "scipy.linalg", "scipy.optimize"]
+    watched = deferred + ["scipy.sparse.linalg"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, gms.cli; print('scipy.integrate' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SET_SCRIPT, json.dumps(watched), json.dumps(steps)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(result.stdout)
+    assert [name for name, _, _ in report] == ["import"] + [name for name, _ in steps]
+    assert all(code == 0 for _, code, _ in report)
+    assert {name: mods for name, _, mods in report[:-1]} == {name: [] for name, _, _ in report[:-1]}
+    assert "scipy.sparse.linalg" in report[-1][2]
 
 
 def test_readme_has_cli_recipes():

@@ -3,6 +3,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +48,12 @@ class TestOmega:
         with pytest.raises(ValidationError):
             omega_ball_volume(-1)
 
+    @pytest.mark.parametrize("m", range(19))
+    def test_matches_scipy_gamma(self, m):
+        # math.gamma and scipy's gamma differ in the last bits at half-integers
+        reference = math.pi ** (m / 2) / scipy.special.gamma(m / 2 + 1)
+        assert abs(omega_ball_volume(m) - reference) <= 4 * math.ulp(reference)
+
     def test_mc_cross_check_d2_p1(self):
         # int_{S^1} |e.v| dH^1 = 2 omega_1 = 4
         assert sphere_moment_mc(1.0, 2, seed=3) == pytest.approx(4.0, rel=0.01)
@@ -58,6 +65,15 @@ class TestSphereMoment:
         exact = sphere_moment(p, d)
         mc = sphere_moment_mc(p, d, seed=7)
         assert mc == pytest.approx(exact, rel=0.01)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_scipy_gamma(self, p, d):
+        g = scipy.special.gamma
+        reference = (
+            2.0 * math.pi ** ((d - 1) / 2) / g((d - 1) / 2 + 1) * g(p / 2 + 0.5) * g(d / 2 + 0.5) / g(p / 2 + d / 2)
+        )
+        assert abs(sphere_moment(p, d) - reference) <= 4 * math.ulp(reference)
 
 
 class TestRadialMoment:
