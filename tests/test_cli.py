@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -637,6 +638,15 @@ class TestGamma:
         assert f"error: {flag[2:]} must" in err and f"error: {other[2:]} must" not in err
         assert not out.exists() and "Traceback" not in err
 
+    def test_step_constant_finite_past_the_cutoff(self, tmp_path):
+        # The radial moment of order 342 is finite: the integrand is 0 past the
+        # kernel's cutoff at 3, where t^342 alone would overflow a float.
+        out = tmp_path / "gamma.csv"
+        assert run("gamma", "--case", "step", "--n", "200", "--p", "341", "--out", out) == 0
+        header, row = out.read_text().splitlines()
+        assert header == "n,eps,discrete,continuum,ratio,seed"
+        assert all(math.isfinite(float(v)) for v in row.split(","))
+
     @pytest.mark.parametrize("p", ["400", "1000"])
     def test_overflowing_constant_exit_2(self, tmp_path, capsys, p):
         out = tmp_path / "gamma.csv"
@@ -906,8 +916,9 @@ print(json.dumps(report))
 
 def test_commands_load_only_the_scipy_they_use(tmp_path):
     # Each scipy submodule is imported by the one function that uses it, so
-    # gms.cli, synth, the spike counterexample, edges and plot load none of
-    # them.  denoise, run last, is the control: its solve loads scipy.sparse.linalg.
+    # gms.cli, synth, the spike counterexample, edges, plot and gamma load
+    # none of them.  denoise, run last, is the control: its solve loads
+    # scipy.sparse.linalg.
     cloud, graph, values = _fuzz_files(tmp_path)
     steps = [
         ("synth", ["synth", "--n", "20", "--out", str(tmp_path / "s.csv")]),
@@ -915,6 +926,8 @@ def test_commands_load_only_the_scipy_they_use(tmp_path):
         ("edges", ["edges", "--graph", str(graph), "--solution", str(values), "--jump", "0.1",
                    "--out", str(tmp_path / "e.csv")]),
         ("plot", ["plot", "--points", str(cloud), "--edges", str(tmp_path / "e.csv"), "--out", str(tmp_path / "p.svg")]),
+        ("gamma step", ["gamma", "--case", "step", "--n", "500", "--out", str(tmp_path / "gs.csv")]),
+        ("gamma smooth", ["gamma", "--case", "smooth", "--n", "200", "--out", str(tmp_path / "gm.csv")]),
         ("denoise", ["denoise", "--input", str(cloud), "--eps", "0.3", "--out", str(tmp_path / "u.csv")]),
     ]
     deferred = ["scipy.sparse", "scipy.spatial", "scipy.special", "scipy.integrate", "scipy.linalg", "scipy.optimize"]

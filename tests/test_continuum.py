@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -88,6 +89,43 @@ class TestRadialMoment:
         with pytest.raises(DivergentIntegralError):
             radial_moment(lambda t: 1.0 / (1.0 + t), 2.0)
 
+    @pytest.mark.parametrize("power", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("sigma", [1.0, 0.2])
+    def test_truncated_gaussian_closed_form(self, sigma, power):
+        # int_0^{3 sigma} t^a e^{-t^2/(2 sigma^2)} dt
+        #   = sigma^(a+1) 2^((a-1)/2) Gamma((a+1)/2) P((a+1)/2, 9/2)
+        s = (power + 1) / 2
+        exact = sigma ** (power + 1) * 2 ** (s - 1) * math.gamma(s) * scipy.special.gammainc(s, 4.5)
+        assert abs(radial_moment(gaussian_eta(sigma, 3.0), power) / exact - 1) <= 1e-13
+
+    def test_unresolvable_kernel_stops_at_the_interval_cap(self):
+        # eta switches between 0 and 1 every pi * 1e-6 on [0, 1]: no bisection
+        # resolves it, so [0, 1] ends at 200 intervals with about half of 1/3
+        calls = []
+
+        def eta(t):
+            calls.append(t)
+            return 1.0 if t <= 1.0 and math.sin(1e6 * t) > 0 else 0.0
+
+        assert radial_moment(eta, 2.0) == pytest.approx(1.0 / 6.0, rel=0.1)
+        # 11 starting intervals, 189 splits of 4 seven-point rules, then [1, 2]
+        assert len(calls) <= 11 * 21 + 189 * 28 + 21
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_kernel_rejected(self, bad):
+        calls = []
+
+        def eta(t):
+            calls.append(t)
+            return bad if t > 0.5 else 1.0
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergentIntegralError, match="eta"):
+                radial_moment(eta, 2.0)
+        # raised at the first bad value, still in the first piece [0, 1]
+        assert calls[-1] > 0.5 and max(calls) <= 1.0
+
 
 class TestConstants:
     def test_theta_gaussian_2d(self):
@@ -107,6 +145,10 @@ class TestConstants:
         # eta = 1 on [0,1]: sigma = 2*omega_1*(1/3) = 4/3
         eta = lambda t: 1.0 if t <= 1.0 else 0.0
         assert sigma_eta(2, eta) == pytest.approx(4.0 / 3.0, rel=1e-6)
+
+    def test_sigma_indicator_kernel_exact(self):
+        eta = lambda t: 1.0 if t <= 1.0 else 0.0
+        assert abs(sigma_eta(2, eta) / (4.0 / 3.0) - 1) <= 1e-13
 
     def test_zero_kernel_rejected(self):
         with pytest.raises(ValidationError):
