@@ -12,12 +12,10 @@ bit-exactly.  Exit codes: 0 success, 2 validation failure, 3 solver failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import platform
 import sys
 import time
-import warnings
 
 import numpy as np
 import scipy
@@ -25,7 +23,7 @@ import scipy
 from . import __version__
 from .consistency import density_deviation_curve, dyadic_counterexample
 from .continuum import DivergentIntegralError, SmoothCase, StepCase, gamma_experiment
-from .core import PointCloud, SolverConfig, ValidationError, ZetaSpec, open_text, write_rows
+from .core import PointCloud, SolverConfig, ValidationError, ZetaSpec, read_table, vertex_pairs, write_rows
 from .datasets import (
     DEFAULT_MAX_LONGITUDE,
     IngestError,
@@ -75,47 +73,13 @@ def _write_manifest(args, record: dict, duration: float) -> None:
         fh.write("\n")
 
 
-def _read_rows(path, columns: int) -> np.ndarray:
-    """The rows after the header line of a CSV as an (m, columns) float array.
-
-    Blank lines are skipped.  ``np.loadtxt`` reads a well-formed file; any
-    other is read line by line, and the first line that is not ``columns``
-    numbers is named in the error.
-    """
-    with open_text(path) as fh, warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # header-only file
-        fh.readline()
-        try:
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            data = None
-    if data is not None and (data.shape[1] == columns or data.size == 0):
-        return data.reshape(-1, columns)
-    rows = []
-    with open_text(path) as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\r\n").split(",")
-            try:
-                rows.append([float(field) for field in fields])
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
-            if len(fields) != columns:
-                raise ValidationError(f"{path}: line {lineno}: {len(fields)} fields, expected {columns}")
-    return np.array(rows).reshape(-1, columns)
-
-
 def read_cloud_csv(path) -> PointCloud:
     """Read a point/label CSV with header x0,...,x{d-1}[,f]."""
-    with open_text(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if not header or not header[0].startswith("x0"):
+    header, data = read_table(path)
+    if not header[0].startswith("x0"):
         raise ValidationError(f"{path}: expected header x0,...,f")
     has_labels = header[-1] == "f"
     d = len(header) - (1 if has_labels else 0)
-    data = _read_rows(path, len(header))
     return PointCloud(points=data[:, :d], labels=data[:, d] if has_labels else None)
 
 
@@ -139,10 +103,7 @@ def _write_values_csv(path, name, values) -> None:
 
 def _read_values_csv(path) -> np.ndarray:
     """Read a one-column CSV of finite values after a header line."""
-    values = _read_rows(path, 1)[:, 0]
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{path}: values must be finite")
-    return values
+    return read_table(path, columns=1)[1][:, 0]
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -311,8 +272,8 @@ def cmd_consistency(args) -> dict:
     return record
 
 
-def render_svg(points, values, edge_list, out_path):
-    """Write an 800-pixel square SVG of the points colored by value, with edge_list in red.
+def render_svg(points, values, edges, out_path):
+    """Write an 800-pixel square SVG of the points colored by value, with the (m, 2) vertex pairs ``edges`` in red.
 
     Colors follow a fixed linear ramp from blue (lowest value) to red (highest).
     """
@@ -324,10 +285,12 @@ def render_svg(points, values, edge_list, out_path):
         raise ValidationError("plot needs points with at least 2 coordinates")
     if not np.all(np.isfinite(values)):
         raise ValidationError("plot values must be finite")
-    for i, j in edge_list:
-        if not (0 <= i < len(points) and 0 <= j < len(points)):
-            raise ValidationError(f"edge ({i}, {j}) out of range")
-    ii, jj = np.array(edge_list, dtype=np.int64).reshape(-1, 2).T
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = np.flatnonzero(np.any((edges < 0) | (edges >= len(points)), axis=1))
+    if bad.size:
+        i, j = edges[bad[0]].tolist()
+        raise ValidationError(f"edge ({i}, {j}) out of range")
+    ii, jj = edges.T
     lo = points.min(axis=0)
     span = points.max(axis=0) - lo
     span[span == 0] = 1.0
@@ -361,20 +324,8 @@ def cmd_plot(args) -> dict:
         raise ValidationError("--values required when the points file has no labels")
     if len(values) != cloud.n:
         raise ValidationError("values length does not match point count")
-    edge_list = []
-    if args.edges:
-        with open_text(args.edges) as fh:
-            next(fh, None)  # header
-            for lineno, line in enumerate(fh, start=2):
-                if line.strip():
-                    try:
-                        i, j = line.split(",")[:2]
-                        edge_list.append((int(i), int(j)))
-                    except ValueError:
-                        raise ValidationError(
-                            f"{args.edges}: line {lineno}: expected i,j,... got {line.strip()!r}"
-                        ) from None
-    render_svg(cloud.points, values, edge_list, args.out)
+    edges = vertex_pairs(args.edges, read_table(args.edges, columns=3)[1]) if args.edges else []
+    render_svg(cloud.points, values, edges, args.out)
     print(f"plot: wrote {args.out}")
     return {"inputs": [p for p in (args.points, args.values, args.edges) if p], "outputs": [args.out]}
 

@@ -143,13 +143,19 @@ def radial_moment(eta: Callable, power: float) -> float:
 
 def sphere_moment(p: float, d: int) -> float:
     """int_{S^{d-1}} |e . v|^p dH^{d-1}(v) = 2 omega_{d-1} G((p+1)/2) G((d+1)/2) / G((p+d)/2)."""
-    return (
-        2.0
-        * omega_ball_volume(d - 1)
-        * math.gamma(p / 2 + 0.5)
-        * math.gamma(d / 2 + 0.5)
-        / math.gamma(p / 2 + d / 2)
-    )
+    try:
+        return (
+            2.0
+            * omega_ball_volume(d - 1)
+            * math.gamma(p / 2 + 0.5)
+            * math.gamma(d / 2 + 0.5)
+            / math.gamma(p / 2 + d / 2)
+        )
+    except OverflowError:
+        # In 2-D both Gamma factors overflow a float from p = 342 on; their
+        # ratio, about (p/2)^((1-d)/2), does not.
+        ratio = math.exp(math.lgamma(p / 2 + 0.5) - math.lgamma(p / 2 + d / 2))
+        return 2.0 * omega_ball_volume(d - 1) * ratio * math.gamma(d / 2 + 0.5)
 
 
 def sphere_moment_mc(p: float, d: int, n_samples: int = 10**6, seed: int = 0) -> float:
@@ -165,9 +171,8 @@ def theta_eta(p: float, q: float, d: int, eta: Callable) -> float:
     """Gradient-term constant: sphere moment times int t^{p-q+d-1} eta(t) dt.
 
     Raises DivergentIntegralError where a factor or the product overflows a
-    float.  In d = 2 the Gamma factors of the sphere moment do so from
-    p = 342 on; the radial moment stays finite there for a kernel with
-    bounded support.
+    float: in 2-D, for the step case's kernel (support [0, 3]), from
+    p = 646 on, where the radial moment of order p+1 does.
     """
     check_exponents(p, q)
     try:
@@ -469,11 +474,16 @@ def gamma_experiment(
         sigma = 0.2 if isinstance(case, SmoothCase) else 1.0
     eta = gaussian_eta(sigma, cutoff_multiplier)
     constants = LimitConstants.from_kernel(spec, eta, p, q, d)
-    continuum = continuum_ms(constants, case)
+    with np.errstate(over="ignore"):  # checked below
+        continuum = continuum_ms(constants, case)
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_list:
         eps = 0.7 * n ** (-0.25)
+        # The smooth case's continuum energy holds (2 pi)^p, and the discrete
+        # energy divides by eps^(p-1-q): both leave the float range for large p.
+        if not math.isfinite(continuum) or eps ** (p - 1.0 - q) < np.finfo(float).tiny:
+            raise DivergentIntegralError(f"the energies at n={n}, p={p:g} leave the float range")
         x = rng.random((n, d))
         u = case.values(x)
         pairs: dict = {}

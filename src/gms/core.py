@@ -1,8 +1,10 @@
-"""Shared domain types, the concave saturation functions, and the block writer and text opener of the file formats."""
+"""Shared domain types, the concave saturation functions, and the block writer, reader and text opener of the file formats."""
 
 from __future__ import annotations
 
 import contextlib
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +57,58 @@ def open_text(path, **kwargs):
             yield fh
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_table(path, columns=None, delimiter=","):
+    """The header fields and the rows of a text table: points, values, a graph or edges.
+
+    Returns the first line split on ``delimiter`` (None splits on runs of
+    whitespace) and the rows after it as an (m, columns) float array;
+    ``columns`` defaults to the number of header fields.  Blank lines are
+    skipped.  ``np.loadtxt`` reads a well-formed table; any other is read
+    again line by line, and the first line that is not ``columns`` finite
+    numbers raises ValidationError naming ``path`` and the line.
+    """
+    with open_text(path) as fh:
+        header = fh.readline().rstrip("\n").split(delimiter)
+        columns = len(header) if columns is None else columns
+        try:
+            with warnings.catch_warnings():
+                # A header-only table is a table of 0 rows.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2)
+        except ValueError:
+            rows = None
+        if rows is not None and (rows.size == 0 or rows.shape[1] == columns) and np.all(np.isfinite(rows)):
+            return header, rows.reshape(-1, columns)
+        fh.seek(0)
+        fh.readline()
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split(delimiter)
+            try:
+                rows.append([float(field) for field in fields])
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {exc}") from None
+            if len(fields) != columns:
+                raise ValidationError(f"{path}: line {lineno}: {len(fields)} fields, expected {columns}")
+            if not all(map(math.isfinite, rows[-1])):
+                raise ValidationError(f"{path}: line {lineno}: values must be finite")
+    return header, np.array(rows).reshape(-1, columns)
+
+
+def vertex_pairs(path, rows) -> np.ndarray:
+    """The first two columns of the table ``rows`` as an (m, 2) int64 array.
+
+    Raises ValidationError naming ``path`` unless they hold integers below
+    2**53 in magnitude, where float64 holds every integer; inf and nan fail.
+    """
+    ends = rows[:, :2]
+    if not np.all((np.abs(ends) < 2.0**53) & (ends == np.floor(ends))):
+        raise ValidationError(f"{path}: edge endpoints must be integers")
+    return ends.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,17 @@ w_ij = eps^{-d} * exp(-r_ij^2 / (2 sigma^2 eps^2)).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointCloud, SolverConfig, ValidationError, open_text, write_rows
+from .core import PointCloud, SolverConfig, ValidationError, read_table, vertex_pairs, write_rows
 
 __all__ = ["SparseGraph", "build_geometric_graph", "brute_force_graph", "save_graph", "load_graph"]
 
 BRUTE_FORCE_GUARD = 5000
 
 # One row of the edge-list file: "i j weight distance".
-_EDGE_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("w", float), ("r", float)])
 _EDGE_FORMAT = "%d %d %.17g %.17g\n"
 
 
@@ -61,9 +59,7 @@ class SparseGraph:
             raise ValidationError("weights and distances must be finite")
         if np.any(self.weights <= 0) or np.any(self.distances < 0):
             raise ValidationError("weights must be positive and distances nonnegative")
-        expected = self.eps ** (-self.dim) * np.exp(
-            -self.distances**2 / (2.0 * self.sigma**2 * self.eps**2)
-        )
+        expected = _edge_weight(self.distances, self.dim, self.eps, self.sigma)
         if self.n_edges and np.max(np.abs(self.weights - expected) / expected) > 1e-12:
             raise ValidationError("stored weights disagree with the kernel formula")
 
@@ -201,32 +197,25 @@ def load_graph(path) -> SparseGraph:
 
     Raises ValidationError for a header that is not "n d eps sigma" with
     integer n, d >= 1 and positive finite eps, sigma; for an edge row that is
-    not four fields "i j weight distance" with integer i, j; and for any edge
-    list that :meth:`SparseGraph.validate` rejects (i >= j, rows not sorted
-    by (i, j) or repeated, indices outside [0, n), non-finite or inconsistent
+    not four finite numbers "i j weight distance" with integer i, j; and for
+    any edge list that :meth:`SparseGraph.validate` rejects (i >= j, rows not
+    sorted by (i, j) or repeated, indices outside [0, n), inconsistent
     weights and distances).
     """
-    with open_text(path) as fh:
-        header = fh.readline().split()
-        try:
-            if len(header) != 4:
-                raise ValueError
-            n, dim = int(header[0]), int(header[1])
-            eps, sigma = float(header[2]), float(header[3])
-        except ValueError:
-            raise ValidationError(f"{path}: malformed graph header, expected 'n d eps sigma'") from None
-        if n < 1 or dim < 1 or not (0 < eps < np.inf and 0 < sigma < np.inf):
-            raise ValidationError(f"{path}: graph header needs n, d >= 1 and positive finite eps, sigma")
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is a valid graph without edges.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(fh, dtype=_EDGE_ROW, comments=None, ndmin=1)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: malformed edge row: {exc}") from None
+    header, rows = read_table(path, columns=4, delimiter=None)
+    try:
+        if len(header) != 4:
+            raise ValueError
+        n, dim = int(header[0]), int(header[1])
+        eps, sigma = float(header[2]), float(header[3])
+    except ValueError:
+        raise ValidationError(f"{path}: malformed graph header, expected 'n d eps sigma'") from None
+    if n < 1 or dim < 1 or not (0 < eps < np.inf and 0 < sigma < np.inf):
+        raise ValidationError(f"{path}: graph header needs n, d >= 1 and positive finite eps, sigma")
+    ends = vertex_pairs(path, rows)
     graph = SparseGraph(
         n=n, dim=dim, eps=eps, sigma=sigma,
-        ii=rows["i"], jj=rows["j"], weights=rows["w"], distances=rows["r"],
+        ii=ends[:, 0], jj=ends[:, 1], weights=rows[:, 2], distances=rows[:, 3],
     )
     graph.validate()
     return graph

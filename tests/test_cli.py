@@ -386,12 +386,15 @@ class TestMalformedInput:
         assert code == 2
         assert not (tmp_path / "e.csv").exists()
 
-    def test_malformed_edge_list_for_plot(self, tmp_path):
+    def test_malformed_edge_list_for_plot(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
         write_cloud_csv(pts, PointCloud(points=[[0.0, 0.0], [1.0, 1.0]], labels=[0.0, 1.0]))
         edges = tmp_path / "e.csv"
-        edges.write_text("i,j,jump\n0;1\n")
-        assert run("plot", "--points", pts, "--edges", edges, "--out", tmp_path / "p.svg") == 2
+        for row in ["0;1", "0,1", "0,1,x", "0,1.5,0.2", "0,inf,0.2"]:
+            edges.write_text(f"i,j,jump\n0,1,0.5\n{row}\n")
+            assert run("plot", "--points", pts, "--edges", edges, "--out", tmp_path / "p.svg") == 2, row
+            assert f"error: {edges}: " in capsys.readouterr().err
+            assert not (tmp_path / "p.svg").exists()
 
     def test_malformed_gamma_n(self, tmp_path, capsys):
         assert run("gamma", "--case", "step", "--n", "12x", "--out", tmp_path / "g.csv") == 2
@@ -505,6 +508,24 @@ class TestMalformedGraph:
         self.edit_row(edge_inputs[0], 3, lambda f: (f + ["0.5"])[:n_fields])
         assert self.edges_exit(*edge_inputs, tmp_path) == 2
 
+    @pytest.mark.parametrize(
+        "row, edit", [(4, lambda f: f[:2] + ["abc"] + f[3:]), (3, lambda f: f[:3])], ids=["bad_field", "short_row"]
+    )
+    def test_error_names_the_file_line(self, edge_inputs, tmp_path, capsys, row, edit):
+        self.edit_row(edge_inputs[0], row, edit)
+        assert self.edges_exit(*edge_inputs, tmp_path) == 2
+        assert f"g.txt: line {row + 1}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("1.5", "edge endpoints must be integers"), ("1e300", "edge endpoints must be integers"),
+         ("inf", "line 3: values must be finite")],
+    )
+    def test_non_integer_endpoint(self, edge_inputs, tmp_path, capsys, value, message):
+        self.edit_row(edge_inputs[0], 2, lambda f: f[:1] + [value] + f[2:])
+        assert self.edges_exit(*edge_inputs, tmp_path) == 2
+        assert f"g.txt: {message}" in capsys.readouterr().err
+
 
 class TestNonFiniteParameters:
     """A nan or inf parameter exits with code 2 before any output is written."""
@@ -562,13 +583,13 @@ def _mutate_row(path, row, mutation, field, sep):
 
 
 class TestMalformedFileFuzz:
-    """One mutated row of a valid point, value or graph file: exit 2, no output, no traceback."""
+    """One mutated row of a valid point, value, graph or edge file: exit 2, no output, no traceback."""
 
-    @pytest.mark.parametrize("kind", ["points", "values", "graph"])
+    @pytest.mark.parametrize("kind", ["points", "values", "graph", "edges"])
     def test_valid_files_pass(self, tmp_path, kind):
         assert self.exit_code(tmp_path, kind) == (0, "")
 
-    @pytest.mark.parametrize("kind", ["points", "values", "graph"])
+    @pytest.mark.parametrize("kind", ["points", "values", "graph", "edges"])
     @settings(max_examples=30, deadline=None)
     @given(
         mutation=st.sampled_from(["drop", "add", "abc", "nan", "inf", ""]),
@@ -585,13 +606,18 @@ class TestMalformedFileFuzz:
 
     @staticmethod
     def exit_code(tmp, kind, mutation=None):
-        """Exit code and stderr of ``denoise`` (points) or ``edges`` (values, graph) on the fuzz files."""
+        """Exit code and stderr of ``denoise`` (points), ``edges`` (values, graph) or ``plot`` (edges) on the fuzz files."""
         cloud_path, graph_path, values_path = _fuzz_files(tmp)
+        edges_path = tmp / "e.csv"
+        if kind == "edges":
+            assert run("edges", "--solution", values_path, "--graph", graph_path, "--jump", "0.1", "--out", edges_path) == 0
         if mutation:
-            target = {"points": cloud_path, "values": values_path, "graph": graph_path}[kind]
+            target = {"points": cloud_path, "values": values_path, "graph": graph_path, "edges": edges_path}[kind]
             _mutate_row(target, *mutation, sep=" " if kind == "graph" else ",")
         if kind == "points":
             argv = ["denoise", "--input", cloud_path, "--out", tmp / "out.csv", "--eps", "0.3"]
+        elif kind == "edges":
+            argv = ["plot", "--points", cloud_path, "--edges", edges_path, "--out", tmp / "out.svg"]
         else:
             argv = ["edges", "--solution", values_path, "--graph", graph_path, "--jump", "0.1", "--out", tmp / "out.csv"]
         err = io.StringIO()
@@ -638,21 +664,33 @@ class TestGamma:
         assert f"error: {flag[2:]} must" in err and f"error: {other[2:]} must" not in err
         assert not out.exists() and "Traceback" not in err
 
-    def test_step_constant_finite_past_the_cutoff(self, tmp_path):
-        # The radial moment of order 342 is finite: the integrand is 0 past the
-        # kernel's cutoff at 3, where t^342 alone would overflow a float.
+    @pytest.mark.parametrize("p", ["341", "342", "400"])
+    def test_step_constant_finite_past_the_cutoff(self, tmp_path, p):
+        # The radial moment of order p+1 is finite: the integrand is 0 past the
+        # kernel's cutoff at 3, where t^(p+1) alone would overflow a float.  So
+        # is the sphere moment, whose Gamma factors overflow from p = 342 on.
         out = tmp_path / "gamma.csv"
-        assert run("gamma", "--case", "step", "--n", "200", "--p", "341", "--out", out) == 0
+        assert run("gamma", "--case", "step", "--n", "200", "--p", p, "--out", out) == 0
         header, row = out.read_text().splitlines()
         assert header == "n,eps,discrete,continuum,ratio,seed"
         assert all(math.isfinite(float(v)) for v in row.split(","))
 
-    @pytest.mark.parametrize("p", ["400", "1000"])
+    @pytest.mark.parametrize("p", ["1000"])
     def test_overflowing_constant_exit_2(self, tmp_path, capsys, p):
         out = tmp_path / "gamma.csv"
         assert run("gamma", "--case", "step", "--n", "500", "--p", p, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"p={p} overflows" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case, p", [("smooth", "400"), ("step", "600")])
+    def test_non_finite_energy_exit_2(self, tmp_path, capsys, case, p):
+        # Finite constants, but (2 pi)^p in the smooth continuum energy and
+        # eps^(p-1) in the discrete one leave the float range.
+        out = tmp_path / "gamma.csv"
+        assert run("gamma", "--case", case, "--n", "200", "--p", p, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"n=200, p={p} leave the float range" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_divergent_integral_exit_2(self, tmp_path, capsys, monkeypatch):

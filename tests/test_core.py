@@ -1,5 +1,7 @@
 import io
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,9 +17,11 @@ from gms.core import (
     ZetaSpec,
     zeta_derivative,
     zeta_limit,
+    read_table,
     zeta_value,
     write_rows,
 )
+from gms.graph import SparseGraph, save_graph
 
 ALL_SPECS = [
     ZetaSpec("ms_arctan"),
@@ -171,3 +175,87 @@ class TestWriteRows:
         with mock.patch.object(core, "_SAVE_BLOCK", block):
             write_rows(fh, "%d,%.17g %.17g\n", (ints, *floats))
         assert fh.getvalue() == "".join(f"{i},{x:.17g} {y:.17g}\n" for i, x, y in rows)
+
+
+class TestReadTable:
+    """read_table returns the float64 bits that the writers of the four tables wrote."""
+
+    ROWS = st.lists(
+        st.tuples(
+            st.integers(-(2**53), 2**53),
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+        ),
+        max_size=12,
+    )
+    AWKWARD = [
+        (2**53, -0.0, 1e308), (-(2**53), 5e-324, -1e308), (0, -2.2250738585072014e-308, 0.1),
+        (7, 1 / 3, 1.2345678901234567e-5), (1, 1e308, -0.0), (3, -1e308, 5e-324),
+    ]
+
+    @staticmethod
+    def read_written(write, **kwargs):
+        """The bytes that ``write(path)`` writes and read_table's result for them."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write(path)
+            return path.read_bytes(), read_table(path, **kwargs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=ROWS.filter(len), labels=st.booleans())
+    @example(rows=AWKWARD, labels=True)
+    @example(rows=AWKWARD, labels=False)
+    def test_point_table(self, rows, labels):
+        from gms.cli import write_cloud_csv
+
+        _, x, y = (np.array(c) for c in zip(*rows))
+        cloud = PointCloud(points=np.column_stack([x, y]), labels=y[::-1] if labels else None)
+        data, (header, table) = self.read_written(lambda path: write_cloud_csv(path, cloud))
+        assert data.count(b"\r\n") == cloud.n + 1
+        assert header == (["x0", "x1", "f"] if labels else ["x0", "x1"])
+        expected = np.column_stack([x, y, y[::-1]] if labels else [x, y])
+        assert table.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=ROWS)
+    @example(rows=[])
+    @example(rows=AWKWARD)
+    def test_value_table(self, rows):
+        from gms.cli import _write_values_csv
+
+        values = np.array([r[1] for r in rows], dtype=float)
+        _, (header, table) = self.read_written(lambda path: _write_values_csv(path, "u", values), columns=1)
+        assert header == ["u"] and table.shape == (len(values), 1)
+        assert table.tobytes() == values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=ROWS)
+    @example(rows=[])
+    @example(rows=AWKWARD)
+    def test_graph_table(self, rows):
+        ends = np.array([r[0] for r in rows], dtype=np.int64)
+        w, r = (np.array([row[c] for row in rows], dtype=float) for c in (1, 2))
+        graph = SparseGraph(n=3, dim=2, eps=0.1, sigma=1.0, ii=ends, jj=ends[::-1], weights=w, distances=r)
+        _, (header, table) = self.read_written(lambda path: save_graph(graph, path), columns=4, delimiter=None)
+        assert header == ["3", "2", "0.10000000000000001", "1"]
+        expected = np.column_stack([ends, ends[::-1], w, r]).astype(float).reshape(-1, 4)
+        assert table.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=ROWS)
+    @example(rows=[])
+    @example(rows=AWKWARD)
+    def test_edge_table(self, rows):
+        ends = np.array([r[0] for r in rows], dtype=np.int64)
+        jump = np.array([r[1] for r in rows], dtype=float)
+
+        def write(path):
+            # the rows that ``gms edges`` writes
+            with open(path, "w", newline="") as fh:
+                fh.write("i,j,jump\n")
+                write_rows(fh, "%d,%d,%.17g\n", (ends, ends[::-1], jump))
+
+        _, (header, table) = self.read_written(write, columns=3)
+        assert header == ["i", "j", "jump"]
+        expected = np.column_stack([ends, ends[::-1], jump]).astype(float).reshape(-1, 3)
+        assert table.tobytes() == expected.tobytes()
