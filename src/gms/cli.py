@@ -76,10 +76,10 @@ def _write_manifest(args, record: dict, duration: float) -> None:
 def read_cloud_csv(path) -> PointCloud:
     """Read a point/label CSV with header x0,...,x{d-1}[,f]."""
     header, data = read_table(path)
-    if not header[0].startswith("x0"):
-        raise ValidationError(f"{path}: expected header x0,...,f")
     has_labels = header[-1] == "f"
-    d = len(header) - (1 if has_labels else 0)
+    d = len(header) - has_labels
+    if d < 1 or header[:d] != [f"x{i}" for i in range(d)]:
+        raise ValidationError(f"{path}: expected header x0,...,x{{d-1}}[,f], got {','.join(header)!r}")
     return PointCloud(points=data[:, :d], labels=data[:, d] if has_labels else None)
 
 

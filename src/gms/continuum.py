@@ -7,8 +7,8 @@ The continuum energy predicted for the discrete functionals is
 
 with kernel-moment constants theta and sigma.  This module computes the
 constants, with a closed-form sphere moment and a radial moment by adaptive
-Gauss-Lobatto quadrature in plain Python (no scipy), evaluates the limit for
-simple test cases, and runs the discrete-vs-continuum ratio experiments.
+Gauss-Lobatto quadrature in plain Python (no scipy), lets each test case
+evaluate the one term its limit has, and runs the ratio experiments.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -32,11 +32,9 @@ __all__ = [
     "sphere_moment",
     "sphere_moment_mc",
     "gaussian_eta",
-    "LimitConstants",
     "SmoothCase",
     "StepCase",
     "NoisyFidelityCase",
-    "continuum_ms",
     "sampled_energy",
     "gamma_experiment",
     "noise_offset_experiment",
@@ -167,16 +165,28 @@ def sphere_moment_mc(p: float, d: int, n_samples: int = 10**6, seed: int = 0) ->
     return surface * float(np.mean(np.abs(v[:, 0]) ** p))
 
 
+def _moment(eta: Callable, power: float) -> float:
+    """radial_moment, rejected unless positive."""
+    value = radial_moment(eta, power)
+    if not value > 0:
+        # _adaptive splits [0, 2^-10] first and samples both halves at the rule's
+        # nodes, so a kernel that is 0 from the first inner node on reads as 0.
+        first = _LOBATTO[1][0] * 2.0**-11
+        raise ValidationError(f"kernel moment of order {power:g} is {value:g}: the kernel is identically zero "
+                              f"(assumption B1), or zero from t = {first:.2g} on, the quadrature's first node above 0")
+    return value
+
+
 def theta_eta(p: float, q: float, d: int, eta: Callable) -> float:
     """Gradient-term constant: sphere moment times int t^{p-q+d-1} eta(t) dt.
 
     Raises DivergentIntegralError where a factor or the product overflows a
-    float: in 2-D, for the step case's kernel (support [0, 3]), from
-    p = 646 on, where the radial moment of order p+1 does.
+    float: in 2-D, for the kernel of support [0, 3], from p = 646 on, where
+    the radial moment of order p+1 does.
     """
     check_exponents(p, q)
     try:
-        value = sphere_moment(p, d) * radial_moment(eta, p - q + d - 1)
+        value = sphere_moment(p, d) * _moment(eta, p - q + d - 1)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -186,10 +196,7 @@ def theta_eta(p: float, q: float, d: int, eta: Callable) -> float:
 
 def sigma_eta(d: int, eta: Callable) -> float:
     """Jump-term constant: 2 omega_{d-1} int t^d eta(t) dt."""
-    value = 2.0 * omega_ball_volume(d - 1) * radial_moment(eta, float(d))
-    if value <= 0:
-        raise ValidationError("kernel must not be identically zero (assumption B1)")
-    return value
+    return 2.0 * omega_ball_volume(d - 1) * _moment(eta, float(d))
 
 
 def gaussian_eta(sigma: float = 1.0, cutoff_multiplier: float = 3.0) -> Callable:
@@ -203,42 +210,25 @@ def gaussian_eta(sigma: float = 1.0, cutoff_multiplier: float = 3.0) -> Callable
 
 
 @dataclass(frozen=True)
-class LimitConstants:
-    theta: float
-    sigma: float
-    theta_big: float | None  # None = unbounded saturation limit
-    zeta_prime0: float
-    d: int
-    p: float
-    q: float
-
-    @classmethod
-    def from_kernel(cls, spec: ZetaSpec, eta: Callable, p: float, q: float, d: int):
-        return cls(
-            theta=theta_eta(p, q, d, eta),
-            sigma=sigma_eta(d, eta),
-            theta_big=zeta_limit(spec),
-            zeta_prime0=zeta_derivative(spec, 0.0),
-            d=d,
-            p=p,
-            q=q,
-        )
-
-
-@dataclass(frozen=True)
 class SmoothCase:
     """u(x) = amplitude * sin(2 pi frequency x_1) on [0,1]^d, uniform density."""
 
     frequency: float = 1.0
     amplitude: float = 1.0
     d: int = 2
+    # gamma_experiment's default kernel width
+    default_sigma: ClassVar[float] = 0.2
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.amplitude * np.sin(2.0 * np.pi * self.frequency * x[..., 0])
 
-    def grad_norm(self, x1: np.ndarray) -> np.ndarray:
-        w = 2.0 * np.pi * self.frequency
-        return np.abs(self.amplitude * w * np.cos(w * x1))
+    def continuum(self, spec: ZetaSpec, eta: Callable, p: float, q: float) -> float:
+        """theta(p, q) zeta'(0) int |grad u|^p by 256-point Gauss-Legendre along x_1; no jump term."""
+        x, w = np.polynomial.legendre.leggauss(256)
+        x, w = (x + 1.0) / 2.0, w / 2.0
+        k = 2.0 * np.pi * self.frequency
+        grad_term = float(np.sum(np.abs(self.amplitude * k * np.cos(k * x)) ** p * w))
+        return theta_eta(p, q, self.d, eta) * zeta_derivative(spec, 0.0) * grad_term
 
 
 @dataclass(frozen=True)
@@ -249,14 +239,20 @@ class StepCase:
     low: float = 0.0
     high: float = 1.0
     d: int = 2
+    # gamma_experiment's default kernel width
+    default_sigma: ClassVar[float] = 1.0
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.where(x[..., 0] > self.location, self.high, self.low)
 
-    @property
-    def jump_measure(self) -> float:
-        # axis-aligned hyperplane section of the unit cube
-        return 1.0
+    def continuum(self, spec: ZetaSpec, eta: Callable, p: float, q: float) -> float:
+        """sigma Theta H^{d-1}(S_u), with H^{d-1}(S_u) = 1; there is no gradient term, so no p or q."""
+        sigma, limit = sigma_eta(self.d, eta), zeta_limit(spec)
+        if self.high == self.low:
+            return 0.0
+        if limit is None:
+            raise ValidationError("jump-set cases need a finite saturation limit (bounded zeta)")
+        return sigma * limit
 
 
 @dataclass(frozen=True)
@@ -274,29 +270,6 @@ class NoisyFidelityCase:
     @property
     def variance(self) -> float:
         return self.half_width**2 / 3.0
-
-
-def continuum_ms(constants: LimitConstants, case) -> float:
-    """Evaluate the limiting energy for a test case with uniform density.
-
-    The gradient term uses 256-point Gauss-Legendre quadrature along x_1; the
-    jump term is the closed-form (d-1)-measure for the axis-aligned step.
-    """
-    if isinstance(case, SmoothCase):
-        x, w = np.polynomial.legendre.leggauss(256)
-        x, w = (x + 1.0) / 2.0, w / 2.0
-        grad_term = float(np.sum(case.grad_norm(x) ** constants.p * w))
-        # remaining axes integrate the constant density 1
-        return constants.theta * constants.zeta_prime0 * grad_term
-    if isinstance(case, StepCase):
-        if case.high != case.low and constants.theta_big is None:
-            raise ValidationError(
-                "jump-set cases need a finite saturation limit (bounded zeta)"
-            )
-        if case.high == case.low:
-            return 0.0
-        return constants.sigma * constants.theta_big * case.jump_measure
-    raise ValidationError(f"unsupported case type {type(case).__name__}")
 
 
 # Upper bound on the candidate pairs compared in one chunk, besides its last
@@ -463,19 +436,17 @@ def gamma_experiment(
 
     Each n is evaluated at eps_n = 0.7 n^{-1/4}.  The kernel width ``sigma``
     trades statistical noise against the finite-eps saturation bias of bounded
-    zeta; the default is 0.2 for smooth cases and 1.0 for step cases, with the
-    continuum constants computed for the same truncated kernel.  Each row's
-    ``pairs`` holds the candidate-pair counts of its ``sampled_energy`` call.
+    zeta; it defaults to the case's ``default_sigma``, and ``case.continuum``
+    gives the limit for the same truncated kernel.  Each row's ``pairs`` holds
+    the candidate-pair counts of its ``sampled_energy`` call.
     """
+    check_exponents(p, q)
     if any(n < 1 for n in n_list):
         raise ValidationError("sample sizes must be positive")
-    d = case.d
-    if sigma is None:
-        sigma = 0.2 if isinstance(case, SmoothCase) else 1.0
+    sigma = case.default_sigma if sigma is None else sigma
     eta = gaussian_eta(sigma, cutoff_multiplier)
-    constants = LimitConstants.from_kernel(spec, eta, p, q, d)
     with np.errstate(over="ignore"):  # checked below
-        continuum = continuum_ms(constants, case)
+        continuum = case.continuum(spec, eta, p, q)
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_list:
@@ -484,7 +455,7 @@ def gamma_experiment(
         # energy divides by eps^(p-1-q): both leave the float range for large p.
         if not math.isfinite(continuum) or eps ** (p - 1.0 - q) < np.finfo(float).tiny:
             raise DivergentIntegralError(f"the energies at n={n}, p={p:g} leave the float range")
-        x = rng.random((n, d))
+        x = rng.random((n, case.d))
         u = case.values(x)
         pairs: dict = {}
         discrete = sampled_energy(

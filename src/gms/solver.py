@@ -289,7 +289,8 @@ def irls_minimize(
 
     Stops when the relative decrease of the sec6 total energy drops below
     config.irls_tol, or after config.irls_max_iter iterations; a quadratic
-    saturation stops after its first, exact, solve.  From the second
+    saturation stops after its first, exact, solve.  A run that stops on a
+    rise in energy reports ``converged=False``.  From the second
     iteration on, an unfactored solve is asked for :func:`forcing_tol` of the
     last relative decrease; each trace entry records the tolerance its solve
     was asked for as ``cg_tol`` (None at iteration 0).  On tv_smoothed every
@@ -365,7 +366,7 @@ def irls_minimize(
         })
         decrease = (prev_total - e.total) / max(abs(prev_total), 1e-300)
         if spec.kind == "quadratic" or decrease < config.irls_tol:
-            converged = True
+            converged = spec.kind == "quadratic" or decrease >= 0
             break
         prev_total = e.total
     if stats is not None:

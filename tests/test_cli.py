@@ -358,6 +358,19 @@ class TestMalformedInput:
         assert f"bad.csv: {line}" in capsys.readouterr().err
         assert not (tmp_path / "u.csv").exists()
 
+    @pytest.mark.parametrize("header", ["x0,y,f", "x0,x1,g", "x1,x0,f", "f"])
+    @pytest.mark.parametrize("command", ["denoise", "plot"])
+    def test_malformed_point_header(self, tmp_path, capsys, header, command):
+        # "x0,y,f" once read as labelled 2-D points, "x0,x1,g" as unlabelled 3-D ones
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        row = ",".join(["0.5"] * len(header.split(",")))
+        bad.write_text(f"{header}\n{row}\n{row}\n")
+        flag = "--input" if command == "denoise" else "--points"
+        assert run(command, flag, bad, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: expected header x0,...,x{{d-1}}[,f], got '{header}'" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_header_only_point_file(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x0,x1,f\n")
@@ -666,9 +679,8 @@ class TestGamma:
 
     @pytest.mark.parametrize("p", ["341", "342", "400"])
     def test_step_constant_finite_past_the_cutoff(self, tmp_path, p):
-        # The radial moment of order p+1 is finite: the integrand is 0 past the
-        # kernel's cutoff at 3, where t^(p+1) alone would overflow a float.  So
-        # is the sphere moment, whose Gamma factors overflow from p = 342 on.
+        # The step limit is the jump term alone, so it stays finite however large
+        # p is; the discrete energy's eps^(p-1) at n=200 is a normal float up to p = 422.
         out = tmp_path / "gamma.csv"
         assert run("gamma", "--case", "step", "--n", "200", "--p", p, "--out", out) == 0
         header, row = out.read_text().splitlines()
@@ -677,10 +689,25 @@ class TestGamma:
 
     @pytest.mark.parametrize("p", ["1000"])
     def test_overflowing_constant_exit_2(self, tmp_path, capsys, p):
+        # the smooth case's gradient-term constant; the step case has no gradient term
         out = tmp_path / "gamma.csv"
-        assert run("gamma", "--case", "step", "--n", "500", "--p", p, "--out", out) == 2
+        assert run("gamma", "--case", "smooth", "--sigma", "1", "--n", "500", "--p", p, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"p={p} overflows" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_step_case_needs_no_gradient_constant(self, tmp_path):
+        # That constant overflows at p = 700, but the step limit holds only the jump term.
+        out = tmp_path / "gamma.csv"
+        assert run("gamma", "--case", "step", "--n", "1", "--p", "700", "--out", out) == 0
+        header, row = out.read_text().splitlines()
+        assert float(row.split(",")[header.split(",").index("continuum")]) > 0
+
+    def test_kernel_below_the_first_quadrature_node_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "gamma.csv"
+        assert run("gamma", "--case", "smooth", "--n", "200", "--sigma", "0.00001", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "the quadrature's first node" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("case, p", [("smooth", "400"), ("step", "600")])

@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gms import continuum
-from gms.core import PointCloud, ValidationError, ZetaSpec
+from gms.core import PointCloud, ValidationError, ZetaSpec, zeta_derivative, zeta_limit
 from gms.continuum import (
     DivergentIntegralError,
-    LimitConstants,
     NoisyFidelityCase,
     SmoothCase,
     StepCase,
-    continuum_ms,
     gamma_experiment,
     gaussian_eta,
     noise_offset_experiment,
@@ -151,8 +149,9 @@ class TestConstants:
         assert abs(sigma_eta(2, eta) / (4.0 / 3.0) - 1) <= 1e-13
 
     def test_zero_kernel_rejected(self):
-        with pytest.raises(ValidationError):
-            sigma_eta(2, lambda t: 0.0)
+        for constant in (lambda eta: sigma_eta(2, eta), lambda eta: theta_eta(2.0, 0.0, 2, eta)):
+            with pytest.raises(ValidationError, match=r"identically zero \(assumption B1\)"):
+                constant(lambda t: 0.0)
 
     def test_linearity_in_eta(self):
         c = 3.7
@@ -168,33 +167,63 @@ class TestConstants:
         expected = radial_moment(GAUSS, 3.0) / radial_moment(GAUSS, 2.0)
         assert ratio == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("p", [341.0, 342.0, 400.0, 645.0])
+    def test_theta_finite_past_the_cutoff(self, p):
+        # The radial moment of order p+1 is finite: the integrand is 0 past the
+        # kernel's cutoff at 3, where t^(p+1) alone would overflow a float.  So
+        # is the sphere moment, whose Gamma factors overflow from p = 342 on.
+        assert 0 < theta_eta(p, 0.0, 2, gaussian_eta(1.0)) < math.inf
+
+    def test_theta_overflow_rejected(self):
+        with pytest.raises(DivergentIntegralError, match="p=646 overflows"):
+            theta_eta(646.0, 0.0, 2, gaussian_eta(1.0))
+
     def test_from_kernel(self):
-        consts = LimitConstants.from_kernel(ZetaSpec("ms_arctan"), GAUSS, 2.0, 0.0, 2)
-        assert consts.theta_big == 1.0 and consts.zeta_prime0 == 1.0
-        assert consts.theta > 0 and consts.sigma > 0
+        # each case builds its one constant from the kernel it is given
+        spec, wide = ZetaSpec("ms_arctan"), lambda t: GAUSS(t / 2.0)
+        assert StepCase().continuum(spec, wide, 2.0, 0.0) == sigma_eta(2, wide) * zeta_limit(spec)
+        smooth = SmoothCase().continuum(spec, wide, 2.0, 0.0) / zeta_derivative(spec, 0.0)
+        assert smooth == pytest.approx(theta_eta(2.0, 0.0, 2, wide) * 2.0 * math.pi**2, rel=1e-9)
+
+    def test_narrow_kernel_names_the_quadrature(self):
+        # zero past 3e-5, below the first node above 0 at about 4.1e-5
+        eta = gaussian_eta(1e-5)
+        for constant in (lambda: sigma_eta(2, eta), lambda: theta_eta(2.0, 0.0, 2, eta)):
+            with pytest.raises(ValidationError, match=r"zero from t = 4.1e-05 on, the quadrature's first node"):
+                constant()
 
 
 class TestContinuumMs:
-    def setup_method(self):
-        self.consts = LimitConstants.from_kernel(ZetaSpec("ms_arctan"), GAUSS, 2.0, 0.0, 2)
+    spec = ZetaSpec("ms_arctan")
 
     def test_step_case(self):
-        val = continuum_ms(self.consts, StepCase())
-        assert val == pytest.approx(self.consts.sigma * 1.0 * 1.0, rel=1e-12)
+        val = StepCase().continuum(self.spec, GAUSS, 2.0, 0.0)
+        assert val == pytest.approx(sigma_eta(2, GAUSS) * 1.0 * 1.0, rel=1e-12)
 
     def test_smooth_case(self):
         # int_0^1 (2 pi cos 2 pi x)^2 dx = 2 pi^2
-        val = continuum_ms(self.consts, SmoothCase())
-        assert val == pytest.approx(self.consts.theta * 1.0 * 2.0 * math.pi**2, rel=1e-9)
+        val = SmoothCase().continuum(self.spec, GAUSS, 2.0, 0.0)
+        assert val == pytest.approx(theta_eta(2.0, 0.0, 2, GAUSS) * 1.0 * 2.0 * math.pi**2, rel=1e-9)
 
     def test_constant_zero(self):
-        assert continuum_ms(self.consts, SmoothCase(amplitude=0.0)) == 0.0
-        assert continuum_ms(self.consts, StepCase(low=0.5, high=0.5)) == 0.0
+        assert SmoothCase(amplitude=0.0).continuum(self.spec, GAUSS, 2.0, 0.0) == 0.0
+        assert StepCase(low=0.5, high=0.5).continuum(self.spec, GAUSS, 2.0, 0.0) == 0.0
 
     def test_jump_with_unbounded_saturation_rejected(self):
-        consts = LimitConstants.from_kernel(ZetaSpec("quadratic"), GAUSS, 2.0, 0.0, 2)
         with pytest.raises(ValidationError):
-            continuum_ms(consts, StepCase())
+            StepCase().continuum(ZetaSpec("quadratic"), GAUSS, 2.0, 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(0.0, 700.0, exclude_min=True), q_share=st.floats(0.0, 1.0, exclude_max=True))
+    def test_step_limit_independent_of_p_and_q(self, p, q_share):
+        # The jump term holds no p or q, so the gradient-term constant, which
+        # overflows from p = 646 on, is never computed.
+        q = q_share * p
+        if not q < p:
+            return
+        (row,) = gamma_experiment(StepCase(), [1], self.spec, p=p, q=q)
+        (ref,) = gamma_experiment(StepCase(), [1], self.spec)
+        assert row["continuum"].hex() == ref["continuum"].hex()
 
 
 class TestSampledEnergy:

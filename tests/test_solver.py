@@ -365,6 +365,24 @@ class TestIrls:
         u3 = irls_minimize(g, 3.0 * f, quad_spec, config).u
         assert np.allclose(u3, 3.0 * u1, atol=1e-8)
 
+    def test_rise_in_energy_stops_unconverged(self, rng, ms_spec, monkeypatch):
+        n = 60
+        g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
+        solve, calls = gms.solver.solve_u, []
+
+        def worse_third_iterate(*args, **kwargs):
+            calls.append(None)
+            u = solve(*args, **kwargs)
+            return u + 1.0 if len(calls) == 3 else u
+
+        monkeypatch.setattr(gms.solver, "solve_u", worse_third_iterate)
+        f, config = rng.random(n), small_config(eps=0.3, irls_tol=1e-12)
+        sol = irls_minimize(g, f, ms_spec, config)
+        totals = [t["total"] for t in sol.energy_trace]
+        # the run stops at the worse iterate and returns it
+        assert sol.iterations == len(calls) == 3 and totals[3] > totals[2] and not sol.converged
+        assert totals[3] == objective_sec6(g, sol.u, f, ms_spec, config.lam, config.eps).total
+
     def test_trace_schema(self, rng, ms_spec):
         g = brute_force_graph(random_cloud(rng, 30), small_config(eps=0.3))
         sol = irls_minimize(g, rng.random(30), ms_spec, small_config(eps=0.3))
