@@ -54,8 +54,8 @@ def _write_manifest(args, record: dict, duration: float) -> None:
     ``record`` is what the subcommand returned: its ``inputs`` and ``outputs``
     and, for denoise and housing, the ``graph`` and ``solver`` statistics and
     the graph-build ``threads``; for gamma and the spike counterexample, the
-    candidate-pair counts of each energy evaluation (``pairs``, one entry per
-    n or k).  ``environment`` holds the Python, numpy and scipy versions.
+    sweep axis and candidate-pair counts of each energy evaluation (``pairs``,
+    one entry per n or k).  ``environment`` holds the Python, numpy and scipy versions.
     """
     manifest = {
         "command": args.subcommand,

@@ -273,63 +273,74 @@ class NoisyFidelityCase:
 
 
 # Upper bound on the candidate pairs compared in one chunk, besides its last
-# run.  On a 2-core x86 box the spike-d3 enumeration (3-D, k=5) took at least
-# 0.23, 0.20, 0.21 and 0.26 s with 2**13 to 2**16: smaller chunks cost Python
-# overhead, larger ones page faults (8,000 a call with 2**15, 500 with 2**14).
+# window.  On a 2-core x86 box the spike counterexample (3-D, k=5, 7.5e6
+# candidates compared) took at least 0.19, 0.18, 0.18 and 0.21 s with 2**13 to
+# 2**16 (best of 10 calls each): smaller chunks cost Python overhead, larger
+# ones page faults (about 1,100 minor faults a call with 2**14, 6,400-7,100
+# with 2**15, 22,500 with 2**16).
 _BLOCK_CANDIDATES = 1 << 14
 
 
-def _cell_order(points: np.ndarray, radius: float):
-    """The permutation into row order, and the row cells in that order.
+def _cell_order(points: np.ndarray, radius: float, axis: int):
+    """The permutation into row order for a sweep along ``axis``, and the row cells in that order.
 
-    Every axis but the last is bucketed into cells of side just over
-    radius/2, so a pair within the radius is at most two cells apart on each
-    of them.  Points that share those cells form a row.  Rows are sorted
-    lexicographically by their cells, and each row by its last coordinate;
-    for d = 1 the whole cloud is one row.
+    Every other axis is bucketed into cells of side just over radius/2, so a
+    pair within the radius is at most two cells apart on each of them.
+    Points that share those cells form a row.  Rows are sorted
+    lexicographically by their cells, and each row by its coordinate on
+    ``axis``; for d = 1 the whole cloud is one row.
     """
-    lo = points[:, :-1].min(axis=0)
+    across = np.delete(points, axis, axis=1)
+    lo = across.min(axis=0)
     scale = float(np.max(np.abs(points)))
     # The margin covers rounding in the cell index and in d2 <= r2; the
     # scale term also keeps every cell index below 2^42.
     side = max(0.5 * radius * (1.0 + 2.0**-40) + scale * 2.0**-40, np.finfo(float).tiny)
-    cells = np.floor((points[:, :-1] - lo) / side).astype(np.int64)
-    order = np.lexsort((points[:, -1], *cells.T[::-1]))
+    cells = np.floor((across - lo) / side).astype(np.int64)
+    order = np.lexsort((points[:, axis], *cells.T[::-1]))
     return order, cells[order]
 
 
 def _cell_pairs(
-    points: np.ndarray, order: np.ndarray, cells: np.ndarray, radius: float, values=None, stats=None
+    points: np.ndarray, order: np.ndarray, cells: np.ndarray, radius: float, axis: int, values=None, stats=None
 ):
     """Yield (i_idx, j_idx, r) chunks covering every unordered pair within radius.
 
-    ``order`` and ``cells`` are what ``_cell_order`` gives for ``points``.
-    The yielded indices are positions in row order, so ``order`` maps them
-    back to rows of ``points``.  Each row is swept against itself and every
-    lexicographically forward row at most two cells away: point i meets the
-    run [lo_i, hi_i) of a row that lies within reach along the last axis,
-    after i in its own row, so each pair appears exactly once.  A chunk holds
-    the runs of whole points, fewer than ``_BLOCK_CANDIDATES`` candidate
-    pairs plus one run, and a run never exceeds its row.  Squared distances
-    are summed one coordinate at a time, in axis order.
+    ``order`` and ``cells`` are what ``_cell_order`` gives for ``points`` and
+    the sweep axis ``axis``.  The yielded indices are positions in row order,
+    so ``order`` maps them back to rows of ``points``.  Each row is swept
+    against itself and every lexicographically forward row at most two cells
+    away: point i meets the window [lo_i, hi_i) of a row that lies within
+    reach along ``axis``, after i in its own row, so each pair appears exactly
+    once.  A chunk holds the windows of whole points, fewer than
+    ``_BLOCK_CANDIDATES`` candidate pairs plus one window, and a window never
+    exceeds its row.  Squared distances are summed one coordinate at a time,
+    in axis order.
 
-    With ``values`` (in row order), point i is skipped against a row where
-    its whole run carries u_i.  ``stats`` receives the candidate pairs (run
-    lengths, summed) ``compared`` and ``skipped``.
+    With ``values`` (in row order), each window is trimmed of the runs of
+    equal values at its ends that carry u_i: lo moves past the run holding
+    it, and hi back to the start of the run holding hi - 1.  A run can cross
+    a row boundary, so a trimmed end can pass the window's other end; that
+    happens only when one run fills the window, and such a window, like any
+    trimmed empty, is dropped.  ``stats`` receives the candidate pairs
+    (window lengths, summed) ``compared`` and ``skipped``; their sum is the
+    untrimmed total.
     """
     n, d = points.shape
     # twice the cell side, with the same margin for rounding
     reach = radius * (1.0 + 2.0**-40) + float(np.max(np.abs(points))) * 2.0**-39
     coords = [points[order, k] for k in range(d)]
-    last = coords[-1]
+    sweep = coords[axis]
 
     keys, starts = np.unique(cells, axis=0, return_index=True)
     rows = dict(zip(map(tuple, keys.tolist()), itertools.pairwise([*starts.tolist(), n])))
     forward = [o for o in itertools.product(range(-2, 3), repeat=d - 1) if o >= (0,) * (d - 1)]
 
     if values is not None:
-        # run[k]: which run of equal values holds k
-        run = np.concatenate(([0], np.cumsum(values[1:] != values[:-1])))
+        # first[k], after[k]: the bounds of the run of equal values that holds k
+        bounds = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1], [True])))
+        lengths = np.diff(bounds)
+        first, after = np.repeat(bounds[:-1], lengths), np.repeat(bounds[1:], lengths)
     compared = skipped = 0
 
     for key, (s0, e0) in rows.items():
@@ -340,32 +351,35 @@ def _cell_pairs(
             s1, e1 = row
             i = np.arange(s0, e0)
             # in its own row, i's window reaches back to i itself
-            lo = i + 1 if s1 == s0 else s1 + np.searchsorted(last[s1:e1], last[s0:e0] - reach)
-            hi = s1 + np.searchsorted(last[s1:e1], last[s0:e0] + reach, "right")
+            lo = i + 1 if s1 == s0 else s1 + np.searchsorted(sweep[s1:e1], sweep[s0:e0] - reach)
+            hi = s1 + np.searchsorted(sweep[s1:e1], sweep[s0:e0] + reach, "right")
             live = hi > lo
             i, lo, hi = i[live], lo[live], hi[live]
             if values is not None:
-                same = (values[lo] == values[i]) & (run[lo] == run[hi - 1])
-                skipped += int(np.sum(hi[same] - lo[same]))
-                i, lo, hi = i[~same], lo[~same], hi[~same]
+                # trim the runs that carry u_i off both ends of i's window
+                ui, untrimmed = values[i], int(np.sum(hi - lo))
+                lo, hi = np.where(values[lo] == ui, after[lo], lo), np.where(values[hi - 1] == ui, first[hi - 1], hi)
+                live = hi > lo
+                i, lo, hi = i[live], lo[live], hi[live]
+                skipped += untrimmed - int(np.sum(hi - lo))
             count = hi - lo
             compared += int(np.sum(count))
-            # chunk c: the points whose runs start in [c, c + 1) * _BLOCK_CANDIDATES
+            # chunk c: the points whose windows start in [c, c + 1) * _BLOCK_CANDIDATES
             start = np.cumsum(count) - count
             cuts = np.flatnonzero(np.diff(start // _BLOCK_CANDIDATES, prepend=-1)).tolist()
             for a, b in zip(cuts, cuts[1:] + [len(i)]):
-                runs = count[a:b]
-                # stream position t of point k's run is window index t + lo[k] - start[k]
-                ib = np.repeat(lo[a:b] - start[a:b], runs)
-                ib += np.arange(start[a], start[b - 1] + runs[-1])
+                sizes = count[a:b]
+                # stream position t of point k's window is index t + lo[k] - start[k]
+                ib = np.repeat(lo[a:b] - start[a:b], sizes)
+                ib += np.arange(start[a], start[b - 1] + sizes[-1])
                 d2 = np.zeros(len(ib))
                 for x in coords:
-                    diff = np.repeat(x[i[a:b]], runs)
+                    diff = np.repeat(x[i[a:b]], sizes)
                     diff -= x.take(ib)
                     diff *= diff
                     d2 += diff
                 near = np.flatnonzero(d2 <= radius**2)
-                yield np.repeat(i[a:b], runs).take(near), ib.take(near), np.sqrt(d2.take(near))
+                yield np.repeat(i[a:b], sizes).take(near), ib.take(near), np.sqrt(d2.take(near))
     if stats is not None:
         stats.update(compared=compared, skipped=skipped)
 
@@ -385,19 +399,22 @@ def sampled_energy(
 
     Equivalent to building the uncapped geometric graph and calling gms_energy,
     but streams the pairs within the cutoff radius chunk by chunk, so the full
-    edge list is never materialized.  The pairs come from a sorted sweep: rows
-    of cells of side radius/2 on every axis but the last, each sorted along
-    the last axis, so a point's candidates in a neighbor row are one run.
-    Each chunk holds a bounded number of candidate pairs, so memory stays
-    fixed however many pairs there are.  Values are gathered once into row
-    order and read there with the kernel's indices.  When zeta(0) = 0 and
-    q = 0, a pair with u_i = u_j adds exactly 0, so a point is skipped
-    unevaluated against a row where its whole run carries u_i.  Chunk sums are
-    combined with math.fsum; skipping changes which terms share a chunk, so it
-    can move the result in the last bits only.
+    edge list is never materialized.  The pairs come from a sorted sweep along
+    one axis: rows of cells of side radius/2 on every other axis, each sorted
+    along the sweep axis, so a point's candidates in a neighbor row are one
+    window.  The sweep axis is the one whose row order has the fewest changes
+    of value, ties going to the last axis; it is chosen the same way for
+    every zeta and q.  Each chunk holds a bounded number of candidate pairs,
+    so memory stays fixed however many pairs there are.  Values are gathered
+    once into row order and read there with the kernel's indices.  When
+    zeta(0) = 0 and q = 0, a pair with u_i = u_j adds exactly 0, so each
+    window is trimmed of the runs at its ends that carry u_i before any
+    distance is computed.  Chunk sums are combined with math.fsum; the sweep
+    axis and the trim change which terms share a chunk, so they can move the
+    result in the last bits only.
 
-    When ``stats`` is given, it receives the candidate pairs ``compared``
-    and ``skipped`` (see ``_cell_pairs``).
+    When ``stats`` is given, it receives the sweep ``axis`` and the candidate
+    pairs ``compared`` and ``skipped`` (see ``_cell_pairs``).
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -412,11 +429,20 @@ def sampled_energy(
         raise ValidationError("point coordinates must be finite")
     if not np.all(np.isfinite(values)):
         raise ValidationError("values must be finite")
-    order, cells = _cell_order(points, radius)
-    u = values[order]
+    # sweep along the axis whose row order changes value least; ties go to the last
+    best = None
+    for axis in range(d):
+        order, cells = _cell_order(points, radius, axis)
+        u = values[order]
+        changes = int(np.count_nonzero(u[1:] != u[:-1]))
+        if best is None or changes <= best[0]:
+            best = changes, axis, order, cells, u
+    _, axis, order, cells, u = best
+    if stats is not None:
+        stats["axis"] = axis
     skip_constant = q == 0 and zeta_value(spec, 0.0) == 0.0
     pieces = []
-    for ia, ib, r in _cell_pairs(points, order, cells, radius, u if skip_constant else None, stats):
+    for ia, ib, r in _cell_pairs(points, order, cells, radius, axis, u if skip_constant else None, stats):
         w = np.exp(-(r**2) / (2.0 * sigma**2 * eps**2))
         pieces.append(float(np.sum(pair_terms(u, ia, ib, r, w, spec, eps, p, q, labels=order))))
     return 2.0 * math.fsum(pieces) * eps ** (-d) / (eps * n**2)
@@ -437,8 +463,10 @@ def gamma_experiment(
     Each n is evaluated at eps_n = 0.7 n^{-1/4}.  The kernel width ``sigma``
     trades statistical noise against the finite-eps saturation bias of bounded
     zeta; it defaults to the case's ``default_sigma``, and ``case.continuum``
-    gives the limit for the same truncated kernel.  Each row's ``pairs`` holds
-    the candidate-pair counts of its ``sampled_energy`` call.
+    gives the limit for the same truncated kernel, which must not be 0 (a
+    flat step, a zero amplitude), as the ratio divides by it.  Each row's
+    ``pairs`` holds the sweep axis and candidate-pair counts of its
+    ``sampled_energy`` call.
     """
     check_exponents(p, q)
     if any(n < 1 for n in n_list):
@@ -447,6 +475,8 @@ def gamma_experiment(
     eta = gaussian_eta(sigma, cutoff_multiplier)
     with np.errstate(over="ignore"):  # checked below
         continuum = case.continuum(spec, eta, p, q)
+    if continuum == 0:
+        raise ValidationError(f"the continuum limit of {case} is 0, so the ratio discrete / continuum is undefined")
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_list:

@@ -650,12 +650,16 @@ class TestGamma:
         manifest = json.loads((tmp_path / "gamma.csv.manifest.json").read_text())
         assert [entry["n"] for entry in manifest["pairs"]] == [200, 400]
         assert all(entry["compared"] > 0 for entry in manifest["pairs"])
+        # the smooth case's values all differ, so the tie goes to the last axis
+        assert all(entry["axis"] == 1 for entry in manifest["pairs"])
 
     def test_step_manifest_records_skipped_pairs(self, tmp_path):
         out = tmp_path / "gamma.csv"
         assert run("gamma", "--case", "step", "--n", "2000", "--out", out) == 0
         (entry,) = json.loads((tmp_path / "gamma.csv.manifest.json").read_text())["pairs"]
         assert entry["n"] == 2000 and entry["skipped"] > entry["compared"] > 0
+        # the step along x0 changes value least often along x0
+        assert entry["axis"] == 0
 
     @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
     @pytest.mark.parametrize("flag", ["--sigma", "--cutoff"])
@@ -744,6 +748,8 @@ class TestConsistency:
         assert rows[0]["k"] == 3 and 2**-3 <= rows[0]["l1"] <= 2**3
         (entry,) = json.loads((tmp_path / "cons.manifest.json").read_text())["pairs"]
         assert entry["k"] == 3 and entry["compared"] > 0 and entry["skipped"] > 0
+        # the ball changes value as often along every axis: the last one is swept
+        assert entry["axis"] == 2
 
     @pytest.mark.parametrize(
         "args,flag",

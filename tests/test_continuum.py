@@ -282,19 +282,39 @@ class TestSampledEnergy:
             sampled_energy(rng.random((50, 2)), np.full(50, bad), ms_spec, 0.1)
 
     def test_pair_counts(self, rng, ms_spec, tv_spec):
-        # A step skips the runs on either side of it; tv (zeta(0) = delta)
-        # and q > 0 skip none.  The candidates add up to the same total.
+        # A step along either axis trims the runs on either side of it; tv
+        # (zeta(0) = delta) and q > 0 trim none.  All three sweep the same
+        # axis, so the candidates add up to the same total.
+        pts = rng.random((3000, 2))
+        for axis in range(2):
+            u = np.where(pts[:, axis] > 0.5, 1.0, 0.0)
+            counts = {}
+            for name, spec, q in (("ms", ms_spec, 0.0), ("tv", tv_spec, 0.0), ("ms_q1", ms_spec, 1.0)):
+                counts[name] = {}
+                sampled_energy(pts, u, spec, 0.05, q=q, stats=counts[name])
+            assert counts["ms"]["skipped"] > counts["ms"]["compared"] > 0
+            assert counts["tv"]["skipped"] == counts["ms_q1"]["skipped"] == 0
+            total = counts["tv"]["compared"]
+            assert counts["ms"]["compared"] + counts["ms"]["skipped"] == total
+            assert counts["ms_q1"]["compared"] == total
+            assert {c["axis"] for c in counts.values()} == {axis}
+
+    def test_step_sweep_compares_no_equal_pair(self, rng, ms_spec):
+        # Swept along x0, each row of a step along x0 holds two runs, so the
+        # trim leaves only candidates across the step.
         pts = rng.random((3000, 2))
         u = np.where(pts[:, 0] > 0.5, 1.0, 0.0)
-        counts = {}
-        for name, spec, q in (("ms", ms_spec, 0.0), ("tv", tv_spec, 0.0), ("ms_q1", ms_spec, 1.0)):
-            counts[name] = {}
-            sampled_energy(pts, u, spec, 0.05, q=q, stats=counts[name])
-        assert counts["ms"]["skipped"] > counts["ms"]["compared"] > 0
-        assert counts["tv"]["skipped"] == counts["ms_q1"]["skipped"] == 0
-        total = counts["tv"]["compared"]
-        assert counts["ms"]["compared"] + counts["ms"]["skipped"] == total
-        assert counts["ms_q1"]["compared"] == total
+        radius = 3.0 * 0.05  # sampled_energy's at eps = 0.05
+        order, cells = _cell_order(pts, radius, 0)
+        in_rows = u[order]
+        stats = {}
+        pairs = list(_cell_pairs(pts, order, cells, radius, 0, in_rows, stats))
+        assert sum(len(ia) for ia, _, _ in pairs) > 0 and stats["compared"] > 0
+        assert all(np.all(in_rows[ia] != in_rows[ib]) for ia, ib, _ in pairs)
+        # with the trim the step reads the same energy, and the sweep picks x0
+        sampled = {}
+        assert sampled_energy(pts, u, ms_spec, 0.05, stats=sampled) > 0 and sampled["axis"] == 0
+        assert sampled["compared"] == stats["compared"] and sampled["skipped"] == stats["skipped"]
 
     def test_nonpositive_radius_rejected(self, rng, ms_spec):
         pts = rng.random((10, 2))
@@ -318,11 +338,11 @@ def brute_pairs(points, radius):
     return {(i, j): math.sqrt(d2[i, j]) for i, j in zip(ii.tolist(), jj.tolist())}
 
 
-def kernel_pairs(points, radius):
-    """{(i, j): r} from _cell_pairs, in input indices; fails on a pair yielded twice."""
-    order, cells = _cell_order(points, radius)
+def kernel_pairs(points, radius, axis=-1):
+    """{(i, j): r} from _cell_pairs swept along ``axis``, in input indices; fails on a pair yielded twice."""
+    order, cells = _cell_order(points, radius, axis)
     found = {}
-    for ia, ib, r in _cell_pairs(points, order, cells, radius):
+    for ia, ib, r in _cell_pairs(points, order, cells, radius, axis):
         for i, j, rij in zip(order[ia].tolist(), order[ib].tolist(), r.tolist()):
             key = (min(i, j), max(i, j))
             assert key not in found, f"pair {key} yielded twice"
@@ -350,10 +370,16 @@ def piecewise_constant(draw):
         radius = draw(st.floats(0.05, 1.0))
         if kind == "duplicates":
             points = points[rng.integers(0, max(1, n // 3), size=n)]
+    # the input order: as drawn, or sorted up or down along one axis
+    arrange = draw(st.sampled_from(["drawn", "ascending", "descending"]))
+    if arrange != "drawn":
+        by = np.argsort(points[:, draw(st.integers(0, d - 1))], kind="stable")
+        points = points[by if arrange == "ascending" else by[::-1]]
     shape = draw(st.sampled_from(["step", "ball", "levels"]))
     if shape == "step":
         low, high = draw(st.sampled_from([(0.0, 1.0), (-2.5, 0.75), (3.0, 3.0)]))
-        u = np.where(points[:, 0] > np.median(points[:, 0]), high, low)
+        x = points[:, draw(st.integers(0, d - 1))]
+        u = np.where(x > np.median(x), high, low)
     elif shape == "ball":
         center = points[rng.integers(n)]
         in_ball = np.linalg.norm(points - center, axis=1) < draw(st.floats(0.0, 1.0)) * radius * 3
@@ -391,12 +417,12 @@ def clouds(draw):
 
 class TestCellPairs:
     @settings(max_examples=200, deadline=None)
-    @given(clouds(), st.sampled_from([1, 64, continuum._BLOCK_CANDIDATES]))
-    def test_matches_brute_force(self, cloud, block):
+    @given(clouds(), st.sampled_from([1, 64, continuum._BLOCK_CANDIDATES]), st.integers(0, 2))
+    def test_matches_brute_force(self, cloud, block, axis):
         points, radius = cloud
-        # small chunks end inside a row's sweep; with 1, every run is longer than a chunk
+        # small chunks end inside a row's sweep; with 1, every window is longer than a chunk
         with patch.object(continuum, "_BLOCK_CANDIDATES", block):
-            found = kernel_pairs(points, radius)
+            found = kernel_pairs(points, radius, axis % points.shape[1])
         expected = brute_pairs(points, radius)
         assert found.keys() == expected.keys()
         # bit-equal: the same per-coordinate summation order
@@ -424,7 +450,7 @@ class TestCellPairs:
 
 
 class TestConstantBlockSkip:
-    """Skipping constant runs leaves the energy equal to the brute-force oracle."""
+    """Trimming constant runs leaves the energy equal to the brute-force oracle, whatever the sweep axis."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -440,7 +466,7 @@ class TestConstantBlockSkip:
         config = small_config(eps=radius, k_max=n, sigma=1.0, cutoff_multiplier=1.0)
         graph = brute_force_graph(PointCloud(points=points), config)
         stats = {}
-        # small chunks split a row's sweep, so a skip can fall inside a chunk
+        # small chunks split a row's sweep, so a trim can fall inside a chunk
         with patch.object(continuum, "_BLOCK_CANDIDATES", block):
             try:
                 oracle = gms_energy(graph, u, spec, radius, q=q)
@@ -476,6 +502,11 @@ class TestGammaExperiment:
     def test_bad_n_rejected(self, ms_spec):
         with pytest.raises(ValidationError):
             gamma_experiment(SmoothCase(), [0], ms_spec)
+
+    @pytest.mark.parametrize("case", [StepCase(low=0.5, high=0.5), SmoothCase(amplitude=0.0)])
+    def test_zero_limit_rejected(self, ms_spec, case):
+        with pytest.raises(ValidationError, match="continuum limit of .* is 0"):
+            gamma_experiment(case, [50], ms_spec)
 
 
 class TestNoiseOffset:
