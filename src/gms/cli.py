@@ -23,7 +23,7 @@ import scipy
 from . import __version__
 from .consistency import density_deviation_curve, dyadic_counterexample
 from .continuum import DivergentIntegralError, SmoothCase, StepCase, gamma_experiment
-from .core import PointCloud, SolverConfig, ValidationError, ZetaSpec, read_table, vertex_pairs, write_rows
+from .core import PointCloud, SolverConfig, ValidationError, ZetaSpec, check_seed, read_table, vertex_pairs, write_rows
 from .datasets import (
     DEFAULT_MAX_LONGITUDE,
     IngestError,
@@ -240,6 +240,8 @@ def cmd_gamma(args) -> dict:
 def cmd_consistency(args) -> dict:
     n_list = _int_list(args.n, "--n")
     k_list = _int_list(args.k, "--k")
+    # the counterexample draws no sample, so its mode alone would not check --seed
+    check_seed(args.seed)
     outputs = []
     record = {"inputs": [], "outputs": outputs}
     # both experiments run before either file is written, so a rejected

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError, ZetaSpec
+from .core import ValidationError, ZetaSpec, check_seed
 from .continuum import omega_ball_volume, sampled_energy
 
 __all__ = [
@@ -76,6 +76,7 @@ def density_deviation_curve(n_list: Sequence[int], d: int = 2, seed: int = 0) ->
     """
     if d < 1:
         raise ValidationError(f"d must be a positive integer, got {d}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_list:

@@ -21,7 +21,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .core import ValidationError, ZetaSpec, zeta_derivative, zeta_limit, zeta_value
+from .core import ValidationError, ZetaSpec, check_seed, zeta_derivative, zeta_limit, zeta_value
 from .energy import check_exponents, pair_terms
 
 __all__ = [
@@ -158,6 +158,7 @@ def sphere_moment(p: float, d: int) -> float:
 
 def sphere_moment_mc(p: float, d: int, n_samples: int = 10**6, seed: int = 0) -> float:
     """Monte-Carlo estimate of sphere_moment via uniform samples on S^{d-1}."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n_samples, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -273,49 +274,81 @@ class NoisyFidelityCase:
 
 
 # Upper bound on the candidate pairs compared in one chunk, besides its last
-# window.  On a 2-core x86 box the spike counterexample (3-D, k=5, 7.5e6
-# candidates compared) took at least 0.19, 0.18, 0.18 and 0.21 s with 2**13 to
-# 2**16 (best of 10 calls each): smaller chunks cost Python overhead, larger
-# ones page faults (about 1,100 minor faults a call with 2**14, 6,400-7,100
-# with 2**15, 22,500 with 2**16).
+# window.  On a 2-core x86 box, best of 10 calls each with 2**13 to 2**16:
+# the spike counterexample (3-D, k=5, 6.7e6 candidates compared) took 0.147,
+# 0.143, 0.145 and 0.181 s, and the gamma-step energy (2-D, n=64,000, 1.0e7
+# compared) 0.202, 0.188, 0.197 and 0.232 s.  Smaller chunks cost Python
+# overhead, larger ones page faults: after its first call, a step call took
+# about 0, 0, 11,500 and 26,000 minor faults, a spike call 960, 490, 4,500
+# and 23,600.
 _BLOCK_CANDIDATES = 1 << 14
+
+
+def _cell_side(points: np.ndarray, radius: float) -> float:
+    """The side of the cells that bucket the axes across the sweep: just over radius/2.
+
+    The margin covers rounding in the cell index and in d2 <= r2; the scale
+    term also keeps every cell index below 2^42.
+    """
+    scale = float(np.max(np.abs(points)))
+    return max(0.5 * radius * (1.0 + 2.0**-40) + scale * 2.0**-40, np.finfo(float).tiny)
 
 
 def _cell_order(points: np.ndarray, radius: float, axis: int):
     """The permutation into row order for a sweep along ``axis``, and the row cells in that order.
 
-    Every other axis is bucketed into cells of side just over radius/2, so a
-    pair within the radius is at most two cells apart on each of them.
-    Points that share those cells form a row.  Rows are sorted
-    lexicographically by their cells, and each row by its coordinate on
-    ``axis``; for d = 1 the whole cloud is one row.
+    Every other axis is bucketed into cells of side ``_cell_side``, so a pair
+    within the radius is at most two cells apart on each of them.  Points
+    that share those cells form a row.  Rows are sorted lexicographically by
+    their cells, and each row by its coordinate on ``axis``; for d = 1 the
+    whole cloud is one row.
     """
     across = np.delete(points, axis, axis=1)
     lo = across.min(axis=0)
-    scale = float(np.max(np.abs(points)))
-    # The margin covers rounding in the cell index and in d2 <= r2; the
-    # scale term also keeps every cell index below 2^42.
-    side = max(0.5 * radius * (1.0 + 2.0**-40) + scale * 2.0**-40, np.finfo(float).tiny)
-    cells = np.floor((across - lo) / side).astype(np.int64)
+    cells = np.floor((across - lo) / _cell_side(points, radius)).astype(np.int64)
     order = np.lexsort((points[:, axis], *cells.T[::-1]))
     return order, cells[order]
+
+
+def _reaches(points: np.ndarray, radius: float) -> dict:
+    """{forward row offset: half-width of its windows along the sweep axis}.
+
+    Points in rows m >= 2 cells apart on an across axis are more than
+    (m - 1) side apart on it, so the pairs within the radius between rows at
+    offset o lie within sqrt(r^2 - gap_o^2) along the sweep, where
+    gap_o^2 = sum_k (max(|o_k| - 1, 0) side)^2.  Each gap term is shrunk by
+    a margin for rounding in the cell index, and r is grown by margins for
+    rounding in d2 <= r2 and in the window ends, so an offset with no gap
+    gets r plus those margins.
+    """
+    d = points.shape[1]
+    scale = float(np.max(np.abs(points)))
+    side, grown, margin = _cell_side(points, radius), radius * (1.0 + 2.0**-40), scale * 2.0**-39
+    reaches = {}
+    for off in itertools.product(range(-2, 3), repeat=d - 1):
+        if off >= (0,) * (d - 1):
+            # gap_o^2 / r^2, with r and the gap terms as grown and shrunk
+            gap = sum((max((abs(o) - 1) * side - margin, 0.0) / grown) ** 2 for o in off)
+            reaches[off] = grown * math.sqrt(max(1.0 - gap, 0.0)) + margin
+    return reaches
 
 
 def _cell_pairs(
     points: np.ndarray, order: np.ndarray, cells: np.ndarray, radius: float, axis: int, values=None, stats=None
 ):
-    """Yield (i_idx, j_idx, r) chunks covering every unordered pair within radius.
+    """Yield (i_idx, j_idx, d2) chunks covering every unordered pair within radius, d2 their squared distances.
 
     ``order`` and ``cells`` are what ``_cell_order`` gives for ``points`` and
     the sweep axis ``axis``.  The yielded indices are positions in row order,
     so ``order`` maps them back to rows of ``points``.  Each row is swept
     against itself and every lexicographically forward row at most two cells
     away: point i meets the window [lo_i, hi_i) of a row that lies within
-    reach along ``axis``, after i in its own row, so each pair appears exactly
-    once.  A chunk holds the windows of whole points, fewer than
-    ``_BLOCK_CANDIDATES`` candidate pairs plus one window, and a window never
-    exceeds its row.  Squared distances are summed one coordinate at a time,
-    in axis order.
+    that row offset's reach along ``axis`` (``_reaches``: the radius, less
+    what the cell gap across the sweep already uses up), after i in its own
+    row, so each pair appears exactly once.  A chunk holds the windows of
+    whole points, fewer than ``_BLOCK_CANDIDATES`` candidate pairs plus one
+    window, and a window never exceeds its row.  Squared distances are
+    summed one coordinate at a time, in axis order.
 
     With ``values`` (in row order), each window is trimmed of the runs of
     equal values at its ends that carry u_i: lo moves past the run holding
@@ -324,17 +357,16 @@ def _cell_pairs(
     happens only when one run fills the window, and such a window, like any
     trimmed empty, is dropped.  ``stats`` receives the candidate pairs
     (window lengths, summed) ``compared`` and ``skipped``; their sum is the
-    untrimmed total.
+    total over the untrimmed windows of each offset's reach.
     """
     n, d = points.shape
-    # twice the cell side, with the same margin for rounding
-    reach = radius * (1.0 + 2.0**-40) + float(np.max(np.abs(points))) * 2.0**-39
+    r2 = radius**2
     coords = [points[order, k] for k in range(d)]
     sweep = coords[axis]
 
     keys, starts = np.unique(cells, axis=0, return_index=True)
     rows = dict(zip(map(tuple, keys.tolist()), itertools.pairwise([*starts.tolist(), n])))
-    forward = [o for o in itertools.product(range(-2, 3), repeat=d - 1) if o >= (0,) * (d - 1)]
+    reaches = _reaches(points, radius)
 
     if values is not None:
         # first[k], after[k]: the bounds of the run of equal values that holds k
@@ -344,7 +376,7 @@ def _cell_pairs(
     compared = skipped = 0
 
     for key, (s0, e0) in rows.items():
-        for off in forward:
+        for off, reach in reaches.items():
             row = rows.get(tuple(k + o for k, o in zip(key, off)))
             if row is None:
                 continue
@@ -369,17 +401,21 @@ def _cell_pairs(
             cuts = np.flatnonzero(np.diff(start // _BLOCK_CANDIDATES, prepend=-1)).tolist()
             for a, b in zip(cuts, cuts[1:] + [len(i)]):
                 sizes = count[a:b]
+                ia = np.repeat(i[a:b], sizes)
                 # stream position t of point k's window is index t + lo[k] - start[k]
                 ib = np.repeat(lo[a:b] - start[a:b], sizes)
                 ib += np.arange(start[a], start[b - 1] + sizes[-1])
-                d2 = np.zeros(len(ib))
-                for x in coords:
+                # x[ia] as a repeat of x[i], which is cheaper than a gather by ia
+                d2 = np.repeat(coords[0][i[a:b]], sizes)
+                d2 -= coords[0].take(ib)
+                d2 *= d2
+                for x in coords[1:]:
                     diff = np.repeat(x[i[a:b]], sizes)
                     diff -= x.take(ib)
                     diff *= diff
                     d2 += diff
-                near = np.flatnonzero(d2 <= radius**2)
-                yield np.repeat(i[a:b], sizes).take(near), ib.take(near), np.sqrt(d2.take(near))
+                near = np.flatnonzero(d2 <= r2)
+                yield ia.take(near), ib.take(near), d2.take(near)
     if stats is not None:
         stats.update(compared=compared, skipped=skipped)
 
@@ -400,18 +436,22 @@ def sampled_energy(
     Equivalent to building the uncapped geometric graph and calling gms_energy,
     but streams the pairs within the cutoff radius chunk by chunk, so the full
     edge list is never materialized.  The pairs come from a sorted sweep along
-    one axis: rows of cells of side radius/2 on every other axis, each sorted
-    along the sweep axis, so a point's candidates in a neighbor row are one
-    window.  The sweep axis is the one whose row order has the fewest changes
-    of value, ties going to the last axis; it is chosen the same way for
-    every zeta and q.  Each chunk holds a bounded number of candidate pairs,
-    so memory stays fixed however many pairs there are.  Values are gathered
-    once into row order and read there with the kernel's indices.  When
-    zeta(0) = 0 and q = 0, a pair with u_i = u_j adds exactly 0, so each
-    window is trimmed of the runs at its ends that carry u_i before any
-    distance is computed.  Chunk sums are combined with math.fsum; the sweep
-    axis and the trim change which terms share a chunk, so they can move the
-    result in the last bits only.
+    one axis: rows of cells of side just over radius/2 on every other axis,
+    each sorted along the sweep axis, so a point's candidates in a neighbor
+    row are one window, as wide as the radius leaves after the cell gap
+    between the two rows.  The sweep axis is the one whose row order has the
+    fewest changes of value, ties going to the last axis; it is chosen the
+    same way for every zeta and q, and the search stops early once an axis
+    has as few changes as the values allow (distinct values - 1).  Each chunk
+    holds a bounded number of candidate pairs, so memory stays fixed however
+    many pairs there are.  Values are gathered once into row order and read
+    there with the kernel's indices.  The kernel weights are formed from the
+    squared distances; r itself is taken only when q > 0.  When zeta(0) = 0
+    and q = 0, a pair with u_i = u_j adds exactly 0, so each window is trimmed
+    of the runs at its ends that carry u_i before any distance is computed.
+    Chunk sums are combined with math.fsum; the sweep axis and the trim
+    change which terms share a chunk, so they can move the result in the
+    last bits only.
 
     When ``stats`` is given, it receives the sweep ``axis`` and the candidate
     pairs ``compared`` and ``skipped`` (see ``_cell_pairs``).
@@ -429,21 +469,31 @@ def sampled_energy(
         raise ValidationError("point coordinates must be finite")
     if not np.all(np.isfinite(values)):
         raise ValidationError("values must be finite")
-    # sweep along the axis whose row order changes value least; ties go to the last
-    best = None
-    for axis in range(d):
+    # Sweep along the axis whose row order changes value least; ties go to the
+    # last.  No order has fewer than (distinct values - 1) changes, so the
+    # search ends there; the distinct values are counted only when an order
+    # shows the most changes there can be, n - 1.
+    best = fewest = None
+    for axis in reversed(range(d)):
         order, cells = _cell_order(points, radius, axis)
         u = values[order]
         changes = int(np.count_nonzero(u[1:] != u[:-1]))
-        if best is None or changes <= best[0]:
+        if best is None or changes < best[0]:
             best = changes, axis, order, cells, u
+        if fewest is None and changes == n - 1:
+            fewest = len(np.unique(values)) - 1
+        if best[0] == fewest:
+            break
     _, axis, order, cells, u = best
     if stats is not None:
         stats["axis"] = axis
     skip_constant = q == 0 and zeta_value(spec, 0.0) == 0.0
+    denominator = -2.0 * sigma**2 * eps**2
     pieces = []
-    for ia, ib, r in _cell_pairs(points, order, cells, radius, axis, u if skip_constant else None, stats):
-        w = np.exp(-(r**2) / (2.0 * sigma**2 * eps**2))
+    for ia, ib, d2 in _cell_pairs(points, order, cells, radius, axis, u if skip_constant else None, stats):
+        r = np.sqrt(d2) if q > 0 else None
+        # the kernel weights exp(-d2 / (2 sigma^2 eps^2)), formed over d2
+        w = np.exp(np.divide(d2, denominator, out=d2), out=d2)
         pieces.append(float(np.sum(pair_terms(u, ia, ib, r, w, spec, eps, p, q, labels=order))))
     return 2.0 * math.fsum(pieces) * eps ** (-d) / (eps * n**2)
 
@@ -471,6 +521,7 @@ def gamma_experiment(
     check_exponents(p, q)
     if any(n < 1 for n in n_list):
         raise ValidationError("sample sizes must be positive")
+    check_seed(seed)
     sigma = case.default_sigma if sigma is None else sigma
     eta = gaussian_eta(sigma, cutoff_multiplier)
     with np.errstate(over="ignore"):  # checked below
@@ -515,6 +566,7 @@ def noise_offset_experiment(
     """
     if n < 1 or trials < 1:
         raise ValidationError("n and trials must be positive")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     c = case.offset
     per_trial = np.empty(trials)

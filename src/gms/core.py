@@ -14,7 +14,9 @@ __all__ = [
     "ZetaSpec",
     "SolverConfig",
     "Solution",
+    "check_seed",
     "zeta_value",
+    "zeta_inplace",
     "zeta_derivative",
     "zeta_limit",
 ]
@@ -22,6 +24,12 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised when an input violates a structural invariant."""
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValidationError for a negative seed, which numpy's generators reject with a bare ValueError."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
 
 
 # Rows that write_rows formats and writes at a time.
@@ -182,18 +190,27 @@ class ZetaSpec:
 
 def zeta_value(spec: ZetaSpec, t):
     """Evaluate zeta(t) elementwise for t >= 0."""
-    t = np.asarray(t, dtype=float)
+    t = np.array(t, dtype=float)
     if np.any(t < 0):
         raise ValidationError("zeta is only defined for t >= 0")
-    if spec.kind == "ms_arctan":
-        out = (2.0 / np.pi) * np.arctan(np.pi * t / 2.0)
-    elif spec.kind == "tv_smoothed":
-        out = np.sqrt(spec.delta**2 + t)
-    elif spec.kind == "quadratic":
-        out = t.copy()
-    else:  # capped_linear
-        out = np.minimum(t, 1.0)
+    out = zeta_inplace(spec, t)
     return float(out) if out.ndim == 0 else out
+
+
+def zeta_inplace(spec: ZetaSpec, t: np.ndarray) -> np.ndarray:
+    """Overwrite the float array t (all t >= 0, unchecked) with zeta(t) and return it."""
+    if spec.kind == "ms_arctan":
+        t *= np.pi
+        t /= 2.0
+        np.arctan(t, out=t)
+        t *= 2.0 / np.pi
+    elif spec.kind == "tv_smoothed":
+        t += spec.delta**2
+        np.sqrt(t, out=t)
+    elif spec.kind == "capped_linear":
+        np.minimum(t, 1.0, out=t)
+    # quadratic: zeta(t) = t
+    return t
 
 
 def zeta_derivative(spec: ZetaSpec, t):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointCloud, ValidationError, open_text
+from .core import PointCloud, ValidationError, check_seed, open_text
 
 __all__ = [
     "SyntheticCase",
@@ -98,6 +98,7 @@ def generate_synthetic(n: int, noise_std: float = 0.2, seed: int = 0) -> Synthet
         raise ValidationError("n must be >= 1")
     if not 0 <= noise_std < np.inf:
         raise ValidationError(f"noise_std must be nonnegative and finite, got {noise_std}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     truth = truth_values(points)

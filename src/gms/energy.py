@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, ZetaSpec, zeta_value
+# zeta_value stays importable from here: perfbench/tracer.py hooks gms.energy.zeta_value.
+from .core import ValidationError, ZetaSpec, zeta_inplace, zeta_value  # noqa: F401
 from .graph import SparseGraph
 
 __all__ = [
@@ -99,12 +100,17 @@ def pair_terms(
 ) -> np.ndarray:
     """Per-pair terms zeta(|u_i - u_j|^p / (eps^{p-1-q} r^q)) * w of the general energy.
 
-    Raises SingularityError when q > 0 and some pair has zero distance; the
-    message names the pair by ``labels[i]`` and ``labels[j]`` when ``labels``
-    is given (for indices into a permuted ``u``), else by i and j.
+    ``distances`` is read only when q > 0.  The terms are formed in one array,
+    in place, with the operations in the order of the formula.  Raises
+    SingularityError when q > 0 and some pair has zero distance; the message
+    names the pair by ``labels[i]`` and ``labels[j]`` when ``labels`` is given
+    (for indices into a permuted ``u``), else by i and j.
     """
-    du = np.abs(u[ii] - u[jj])
-    arg = du**p / eps ** (p - 1.0 - q)
+    t = u[ii]
+    t -= u[jj]
+    np.abs(t, out=t)
+    t **= p
+    t /= eps ** (p - 1.0 - q)
     if q > 0:
         zero = distances == 0
         if np.any(zero):
@@ -114,8 +120,11 @@ def pair_terms(
                 f"pair ({i}, {j}) has zero distance; "
                 "the q > 0 energy is singular there"
             )
-        arg = arg / distances**q
-    return zeta_value(spec, arg) * weights
+        t /= distances**q
+    # t >= 0 by construction, so zeta_value's check is not needed here
+    zeta_inplace(spec, t)
+    t *= weights
+    return t
 
 
 def gms_energy(

@@ -568,6 +568,25 @@ class TestNonFiniteParameters:
             assert out.read_text() == "i,j,jump\n"
 
 
+class TestNegativeSeed:
+    """A negative ``--seed`` exits with code 2, naming it, before any output is written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--n", "10", "--seed", "-1"],
+            ["gamma", "--case", "step", "--n", "100", "--seed", "-1"],
+            ["consistency", "--mode", "binning", "--n", "100", "--seed", "-3"],
+            ["consistency", "--mode", "counterexample", "--k", "3", "--seed", "-3"],
+        ],
+    )
+    def test_exit_2(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: seed must be nonnegative, got {argv[-1]}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def _fuzz_files(directory):
     """A valid labeled point CSV, its graph file and a value CSV for that graph (60 points)."""
     rng = np.random.default_rng(4)

@@ -28,6 +28,7 @@ from gms.continuum import (
     _cell_order,
     _cell_pairs,
 )
+from gms.consistency import dyadic_counterexample
 from gms.energy import SingularityError, gms_energy
 from gms.graph import brute_force_graph
 
@@ -316,6 +317,31 @@ class TestSampledEnergy:
         assert sampled_energy(pts, u, ms_spec, 0.05, stats=sampled) > 0 and sampled["axis"] == 0
         assert sampled["compared"] == stats["compared"] and sampled["skipped"] == stats["skipped"]
 
+    @pytest.mark.parametrize(
+        "case,axis,energy,orderings",
+        [
+            (SmoothCase(), 1, 20.749087715280123, 1),
+            (SmoothCase(d=3), 2, 46.505391746874835, 1),
+            (StepCase(), 0, 3.5977659206206725, 2),
+            (StepCase(d=3), 0, 9.121252403734985, 3),
+            ("spike", 2, 11.204866158033536, 3),
+        ],
+    )
+    def test_sweep_axis_search(self, ms_spec, case, axis, energy, orderings):
+        # The axes are tried from the last one down.  All-distinct values (the
+        # smooth case) have n - 1 changes in every row order, so the first
+        # order ends the search; a step or the spike orders along every axis.
+        # The axis and the energy bits are those of the search over all axes.
+        with patch.object(continuum, "_cell_order", wraps=continuum._cell_order) as cell_order:
+            if case == "spike":
+                result = dyadic_counterexample(3)
+                found, stats = result["energy"], result["pairs"]
+            else:
+                x = np.random.default_rng(3).random((2000, case.d))
+                stats = {}
+                found = sampled_energy(x, case.values(x), ms_spec, 0.1, stats=stats)
+        assert found == energy and stats["axis"] == axis and cell_order.call_count == orderings
+
     def test_nonpositive_radius_rejected(self, rng, ms_spec):
         pts = rng.random((10, 2))
         with pytest.raises(ValidationError):
@@ -328,25 +354,25 @@ class TestSampledEnergy:
 
 
 def brute_pairs(points, radius):
-    """{(i, j): r} for i < j within radius, squared distances summed per coordinate."""
+    """{(i, j): d2} for i < j within radius, squared distances summed per coordinate."""
     n, d = points.shape
     d2 = np.zeros((n, n))
     for k in range(d):
         diff = points[:, None, k] - points[None, :, k]
         d2 += diff * diff
     ii, jj = np.nonzero(np.triu(d2 <= radius**2, 1))
-    return {(i, j): math.sqrt(d2[i, j]) for i, j in zip(ii.tolist(), jj.tolist())}
+    return {(i, j): d2[i, j] for i, j in zip(ii.tolist(), jj.tolist())}
 
 
 def kernel_pairs(points, radius, axis=-1):
-    """{(i, j): r} from _cell_pairs swept along ``axis``, in input indices; fails on a pair yielded twice."""
+    """{(i, j): d2} from _cell_pairs swept along ``axis``, in input indices; fails on a pair yielded twice."""
     order, cells = _cell_order(points, radius, axis)
     found = {}
-    for ia, ib, r in _cell_pairs(points, order, cells, radius, axis):
-        for i, j, rij in zip(order[ia].tolist(), order[ib].tolist(), r.tolist()):
+    for ia, ib, d2 in _cell_pairs(points, order, cells, radius, axis):
+        for i, j, d2ij in zip(order[ia].tolist(), order[ib].tolist(), d2.tolist()):
             key = (min(i, j), max(i, j))
             assert key not in found, f"pair {key} yielded twice"
-            found[key] = rij
+            found[key] = d2ij
     return found
 
 
@@ -436,6 +462,47 @@ class TestCellPairs:
         points = np.array([[-56.519720635119356], [21.008210267772704], [21.82429375096104]])
         assert (points[2, 0] - points[1, 0]) ** 2 <= radius**2
         assert kernel_pairs(points, radius).keys() == {(1, 2)}
+
+    @pytest.mark.parametrize(
+        "radius,points,at_radius",
+        [
+            # 33^2 + 56^2 = 65^2: rows two cells apart on the one across axis
+            (65.0, [[0.0, 0.0], [0.0, 32.5], [56.0, 65.5]], [(1, 2)]),
+            # 170^2 + 170^2 + 239^2 = 339^2: rows at offsets (2, 2) and (2, -2)
+            (
+                339.0,
+                [[0.0, 0.0, 0.0], [0.0, 169.5, 169.5], [239.0, 339.5, 339.5], [0.0, 169.5, 339.5], [239.0, 339.5, 169.5]],
+                [(1, 2), (3, 4)],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("last", [False, True])
+    def test_pair_at_radius_two_cells_across(self, radius, points, at_radius, last):
+        # The first point sets the cell origin, so each at-radius pair lies in
+        # rows two cells apart on every across axis, where the window along the
+        # sweep is narrowed to about sqrt(r^2 - side^2 * axes): here just wider
+        # than the pair's sweep distance.  The sweep coordinate comes first or last.
+        points = np.array(points)
+        if last:
+            points = np.roll(points, -1, axis=1)
+        axis = points.shape[1] - 1 if last else 0
+        found, expected = kernel_pairs(points, radius, axis), brute_pairs(points, radius)
+        assert all(expected[pair] == radius**2 for pair in at_radius)
+        assert found == expected
+
+    def test_pair_at_radius_across_a_gap_on_a_rounded_cell_boundary(self):
+        # The first point sets the cell origin.  The last two lie in rows two
+        # cells apart, but rounding in the cell index leaves them less than one
+        # cell side apart across the sweep, so their distance along it exceeds
+        # sqrt(r^2 - side^2): a window without the rounding margins misses them.
+        radius = 1.1700967619904363
+        points = np.array([[0.0, -56.519720635119356], [0.0, -23.75701129647869], [1.013333520739648, -23.17196291543154]])
+        order, cells = _cell_order(points, radius, 0)
+        side = continuum._cell_side(points, radius)
+        assert cells[np.argsort(order), 0].tolist() == [0, 55, 57]
+        assert points[2, 1] - points[1, 1] < side and points[2, 0] > math.sqrt(radius**2 - side**2)
+        assert kernel_pairs(points, radius, 0) == brute_pairs(points, radius)
+        assert brute_pairs(points, radius).keys() == {(1, 2)}
 
     @pytest.mark.parametrize("d,separation", [(3, 1e6), (2, 1e9)])
     def test_far_apart_clusters(self, rng, ms_spec, d, separation):

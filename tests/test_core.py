@@ -21,6 +21,9 @@ from gms.core import (
     zeta_value,
     write_rows,
 )
+from gms.consistency import density_deviation_curve
+from gms.continuum import NoisyFidelityCase, StepCase, gamma_experiment, noise_offset_experiment, sphere_moment_mc
+from gms.datasets import generate_synthetic
 from gms.graph import SparseGraph, save_graph
 
 ALL_SPECS = [
@@ -259,3 +262,22 @@ class TestReadTable:
         assert header == ["i", "j", "jump"]
         expected = np.column_stack([ends, ends[::-1], jump]).astype(float).reshape(-1, 3)
         assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: generate_synthetic(10, seed=seed),
+        lambda seed: gamma_experiment(StepCase(), [100], ZetaSpec("ms_arctan"), seed=seed),
+        lambda seed: density_deviation_curve([100], seed=seed),
+        lambda seed: noise_offset_experiment(NoisyFidelityCase(), 10, 2, seed=seed),
+        lambda seed: sphere_moment_mc(2.0, 2, n_samples=10, seed=seed),
+    ],
+    ids=["generate_synthetic", "gamma_experiment", "density_deviation_curve", "noise_offset_experiment",
+         "sphere_moment_mc"],
+)
+def test_negative_seed_rejected(draw):
+    # numpy's generators raise a bare ValueError for it
+    with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+        draw(-1)
+    draw(0)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gms.core import PointCloud, ValidationError, ZetaSpec, zeta_value
-from gms.energy import SingularityError, exact_sum, gms_energy, objective_sec1, objective_sec6
+from gms.energy import SingularityError, exact_sum, gms_energy, objective_sec1, objective_sec6, pair_terms
 from gms.graph import SparseGraph, brute_force_graph
 
 from conftest import random_cloud, small_config
@@ -178,6 +178,38 @@ def test_breakdown_total_consistency(seed, c):
     ):
         assert e.total == e.fidelity + e.regularizer
         assert e.total >= 0
+
+
+ZETA_FORMULAS = {
+    "ms_arctan": lambda t: (2.0 / np.pi) * np.arctan(np.pi * t / 2.0),
+    "tv_smoothed": lambda t: np.sqrt(0.01**2 + t),
+    "quadratic": lambda t: t.copy(),
+    "capped_linear": lambda t: np.minimum(t, 1.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(ZETA_FORMULAS)),
+    p=st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.05, 8.0)),
+    q_share=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    eps=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 60),
+)
+def test_pair_terms_bits(kind, p, q_share, eps, seed, m):
+    # The in-place terms keep the bits of the expression they replaced, pair by pair.
+    rng = np.random.default_rng(seed)
+    u = rng.integers(-3, 4, size=12) * rng.choice([0.1, 1.0, 7.3])  # ties give du = 0
+    ii, jj = rng.integers(0, 12, size=(2, m))
+    r, w = rng.random(m) + 1e-3, rng.random(m)
+    q = q_share * p
+    spec = ZetaSpec(kind, delta=0.01) if kind == "tv_smoothed" else ZetaSpec(kind)
+    arg = np.abs(u[ii] - u[jj]) ** p / eps ** (p - 1.0 - q)
+    if q > 0:
+        arg = arg / r**q
+    expected = ZETA_FORMULAS[kind](arg) * w
+    assert _bits(pair_terms(u, ii, jj, r, w, spec, eps, p, q)) == _bits(expected)
 
 
 def test_determinism_bit_exact(rng, ms_spec):
