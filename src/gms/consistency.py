@@ -60,11 +60,16 @@ def bin_measure(points: np.ndarray, delta: float) -> BinnedMeasure:
     return BinnedMeasure(d=d, delta=delta, counts=counts, density=density)
 
 
-def _delta_for(n: int, d: int) -> float:
-    """Largest delta = 1/m with delta^d <= b_n ln(n)/n, b_n = sqrt(ln n) (integer box count)."""
+# Boxes m^d that density_deviation_curve may histogram: the counts and the
+# density take 8 bytes a box each, 16 MiB at this bound.  As m >= 2 for
+# every n >= 2, it admits d <= 20.
+MAX_BOXES = 2**20
+
+
+def _boxes_per_axis(n: int, d: int) -> int:
+    """Smallest m with (1/m)^d <= b_n ln(n)/n, b_n = sqrt(ln n): delta = 1/m is the largest such box side."""
     target = (math.sqrt(math.log(n)) * math.log(n) / n) ** (1.0 / d)
-    m = max(1, math.ceil(1.0 / target))
-    return 1.0 / m
+    return max(1, math.ceil(1.0 / target))
 
 
 def density_deviation_curve(n_list: Sequence[int], d: int = 2, seed: int = 0) -> list[dict]:
@@ -72,17 +77,24 @@ def density_deviation_curve(n_list: Sequence[int], d: int = 2, seed: int = 0) ->
 
     delta follows delta^d = b_n ln(n)/n with b_n = sqrt(ln n); the proxy for
     the infinity-transport distance is the box diameter sqrt(d)*delta,
-    reported against eps_n = 0.7 n^{-1/4}.
+    reported against eps_n = 0.7 n^{-1/4}.  Every n is checked before the
+    first sample is drawn: n >= 2, and at most MAX_BOXES boxes m^d.
     """
     if d < 1:
         raise ValidationError(f"d must be a positive integer, got {d}")
     check_seed(seed)
-    rng = np.random.default_rng(seed)
-    rows = []
+    boxes = []
     for n in n_list:
         if n < 2:
             raise ValidationError("need n >= 2 samples")
-        delta = _delta_for(n, d)
+        m = _boxes_per_axis(n, d)
+        if m**d > MAX_BOXES:
+            raise ValidationError(f"memory guard: n={n} at d={d} needs {m}^{d} boxes, more than {MAX_BOXES}")
+        boxes.append(m)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n, m in zip(n_list, boxes):
+        delta = 1.0 / m
         pts = rng.random((n, d))
         binned = bin_measure(pts, delta)
         ell = math.sqrt(d) * delta

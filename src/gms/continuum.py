@@ -21,7 +21,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .core import ValidationError, ZetaSpec, check_seed, zeta_derivative, zeta_limit, zeta_value
+from .core import PointCloud, ValidationError, ZetaSpec, check_seed, zeta_derivative, zeta_limit, zeta_value
 from .energy import check_exponents, pair_terms
 
 __all__ = [
@@ -48,7 +48,7 @@ def omega_ball_volume(m: int) -> float:
     return math.pi ** (m / 2) / math.gamma(m / 2 + 1)
 
 
-class DivergentIntegralError(ValueError):
+class DivergentIntegralError(ValidationError):
     """A kernel moment required by the limiting constants does not converge, or is not finite."""
 
 
@@ -456,19 +456,13 @@ def sampled_energy(
     When ``stats`` is given, it receives the sweep ``axis`` and the candidate
     pairs ``compared`` and ``skipped`` (see ``_cell_pairs``).
     """
-    points = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float)
     check_exponents(p, q)
+    cloud = PointCloud(points, values)
+    points, values = cloud.points, cloud.labels
     n, d = points.shape
-    if values.shape != (n,):
-        raise ValidationError(f"values must have length {n}")
     radius = cutoff_multiplier * sigma * eps
     if not radius > 0:
         raise ValidationError("the cutoff radius cutoff_multiplier * sigma * eps must be positive")
-    if not np.all(np.isfinite(points)):
-        raise ValidationError("point coordinates must be finite")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("values must be finite")
     # Sweep along the axis whose row order changes value least; ties go to the
     # last.  No order has fewer than (distinct values - 1) changes, so the
     # search ends there; the distinct values are counted only when an order
@@ -516,13 +510,17 @@ def gamma_experiment(
     gives the limit for the same truncated kernel, which must not be 0 (a
     flat step, a zero amplitude), as the ratio divides by it.  Each row's
     ``pairs`` holds the sweep axis and candidate-pair counts of its
-    ``sampled_energy`` call.
+    ``sampled_energy`` call.  A sigma^2, or an n's squared cutoff radius
+    (cutoff_multiplier sigma eps_n)^2, that is 0 or overflows a float raises
+    ValidationError.
     """
     check_exponents(p, q)
     if any(n < 1 for n in n_list):
         raise ValidationError("sample sizes must be positive")
     check_seed(seed)
     sigma = case.default_sigma if sigma is None else sigma
+    if not 0 < sigma * sigma < math.inf:
+        raise ValidationError(f"sigma={sigma:g} puts sigma^2 outside the float range")
     eta = gaussian_eta(sigma, cutoff_multiplier)
     with np.errstate(over="ignore"):  # checked below
         continuum = case.continuum(spec, eta, p, q)
@@ -536,6 +534,12 @@ def gamma_experiment(
         # energy divides by eps^(p-1-q): both leave the float range for large p.
         if not math.isfinite(continuum) or eps ** (p - 1.0 - q) < np.finfo(float).tiny:
             raise DivergentIntegralError(f"the energies at n={n}, p={p:g} leave the float range")
+        radius = cutoff_multiplier * sigma * eps
+        if not 0 < radius * radius < math.inf:
+            raise ValidationError(
+                f"cutoff={cutoff_multiplier:g}, sigma={sigma:g}: the squared cutoff radius (cutoff sigma eps)^2 "
+                f"at n={n} leaves the float range"
+            )
         x = rng.random((n, case.d))
         u = case.values(x)
         pairs: dict = {}

@@ -167,7 +167,7 @@ class ZetaSpec:
 
     kind:
       - "ms_arctan":   zeta(t) = (2/pi) * arctan(pi t / 2)
-      - "tv_smoothed": zeta(t) = sqrt(delta^2 + t)      (requires finite delta > 0)
+      - "tv_smoothed": zeta(t) = sqrt(delta^2 + t)      (requires a finite delta > 0 whose square is a positive float)
       - "quadratic":   zeta(t) = t
       - "capped_linear": zeta(t) = min(t, 1)
 
@@ -184,6 +184,8 @@ class ZetaSpec:
         if self.kind == "tv_smoothed":
             if self.delta is None or not 0 < self.delta < np.inf:
                 raise ValidationError("tv_smoothed requires a finite delta > 0")
+            if not 0 < self.delta * self.delta < np.inf:
+                raise ValidationError(f"delta={self.delta:g} puts delta^2 outside the float range")
         elif self.delta is not None:
             raise ValidationError(f"delta is only meaningful for tv_smoothed, not {self.kind}")
 

@@ -123,7 +123,7 @@ def l1_error(u, truth) -> float:
 DEFAULT_MAX_LONGITUDE = -121.68
 
 
-class IngestError(ValueError):
+class IngestError(ValidationError):
     """Malformed or empty input data."""
 
 

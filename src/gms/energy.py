@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-class SingularityError(ValueError):
+class SingularityError(ValidationError):
     """A zero-distance edge met a q > 0 denominator."""
 
 
@@ -77,15 +77,8 @@ def check_exponents(p: float, q: float) -> None:
         raise ValidationError(f"q must lie in [0, p), got {q}")
 
 
-def _check_u(graph: SparseGraph, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (graph.n,):
-        raise ValidationError(f"u must have length {graph.n}")
-    return u
-
-
 def _check_u_f(graph: SparseGraph, u, f) -> tuple[np.ndarray, np.ndarray]:
-    u = _check_u(graph, u)
+    u = graph.vertex_array(u, "u")
     if f is None:
         raise ValidationError("labels are required for the fidelity term")
     f = np.asarray(f, dtype=float)
@@ -131,7 +124,7 @@ def gms_energy(
     graph: SparseGraph, u, spec: ZetaSpec, eps: float, p: float = 2.0, q: float = 0.0
 ) -> float:
     """Fidelity-free energy (1/(eps n^2)) sum_{i,j} zeta(|du|^p / (eps^{p-1-q} r^q)) w_ij."""
-    u = _check_u(graph, u)
+    u = graph.vertex_array(u, "u")
     check_exponents(p, q)
     if graph.n_edges == 0:
         return 0.0

@@ -47,6 +47,13 @@ class SparseGraph:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.ii, minlength=self.n) + np.bincount(self.jj, minlength=self.n)
 
+    def vertex_array(self, values, name: str) -> np.ndarray:
+        """``values`` as a float array with one entry per vertex; raises ValidationError "<name> must have length n" otherwise."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.n,):
+            raise ValidationError(f"{name} must have length {self.n}")
+        return values
+
     def validate(self) -> None:
         if np.any(self.ii >= self.jj):
             raise ValidationError("edge list must satisfy i < j (no diagonal)")
@@ -65,7 +72,23 @@ class SparseGraph:
 
 
 def _edge_weight(r: np.ndarray, dim: int, eps: float, sigma: float) -> np.ndarray:
-    return eps ** (-dim) * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * sigma**2 * eps**2))
+    """w = eps^-d exp(-r^2 / (2 sigma^2 eps^2)).
+
+    The graph is where eps meets the dimension d, so the range of the
+    constants is checked here: a ValidationError names eps when eps^-d or
+    eps^2 is 0 or overflows a float, and sigma when 2 sigma^2 eps^2 does.
+    """
+    try:
+        scale = eps ** (-dim)
+    except OverflowError:
+        scale = np.inf
+    if not 0 < scale < np.inf:
+        raise ValidationError(f"eps={eps:g} puts eps^-{dim} outside the float range")
+    if not 0 < eps * eps < np.inf:
+        raise ValidationError(f"eps={eps:g} puts eps^2 outside the float range")
+    if not 0 < 2.0 * (sigma * sigma) * (eps * eps) < np.inf:
+        raise ValidationError(f"sigma={sigma:g} puts sigma^2 eps^2 outside the float range at eps={eps:g}")
+    return scale * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * sigma**2 * eps**2))
 
 
 def _finalize(cloud: PointCloud, config: SolverConfig, ii: np.ndarray, jj: np.ndarray) -> SparseGraph:

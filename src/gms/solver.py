@@ -96,9 +96,7 @@ def forcing_tol(cg_tol: float, decrease: float | None) -> float:
 
 def update_z(graph: SparseGraph, u, spec: ZetaSpec, eps: float) -> np.ndarray:
     """Optimal per-edge weights z_ij = zeta'(|u_i - u_j|^2 / eps)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (graph.n,):
-        raise ValidationError(f"u must have length {graph.n}")
+    u = graph.vertex_array(u, "u")
     du = u[graph.ii] - u[graph.jj]
     return np.asarray(zeta_derivative(spec, du**2 / eps))
 
@@ -132,6 +130,17 @@ class SystemPattern:
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
 
 
+def _system_constant(lam: float, eps: float, n: int) -> float:
+    """c = 2/(lam eps^2 n), the factor of the Laplacian in every system.
+
+    Raises ValidationError naming lambda when c is not finite.
+    """
+    scale = lam * eps**2 * n
+    if not (scale > 0 and 2.0 / scale < np.inf):
+        raise ValidationError(f"lambda={lam:g} is too small: the system constant 2/(lambda eps^2 n) is not finite")
+    return 2.0 / scale
+
+
 def system_matrix(
     graph: SparseGraph, z, lam: float, eps: float, pattern: SystemPattern | None = None
 ):
@@ -152,7 +161,7 @@ def system_matrix(
     if pattern is None:
         pattern = SystemPattern(graph)
     n = graph.n
-    c = 2.0 / (lam * eps**2 * n)
+    c = _system_constant(lam, eps, n)
     zw = z * graph.weights
     # Each degree is summed over the edges' i ends, then their j ends, in edge
     # order: a fixed summation order, so reruns are bit-identical.
@@ -188,7 +197,8 @@ def solve_u(
     A is factored at once in its natural order.  ``f``, ``x0`` and the
     returned u are in graph order.  A relative residual above 10 times the
     tolerance the solve was asked for, ``cg_rtol`` for CG and ``cg_tol`` for a
-    factored solve, raises :class:`SolverError`.
+    factored solve, raises :class:`SolverError`, and so does a factorization
+    that SuperLU rejects (an exactly singular factor).
 
     When ``stats`` is given, the Jacobi CG iterations are stored under
     ``stats["cg_iters"]`` and whether A was factored under ``stats["factored"]``.
@@ -197,9 +207,7 @@ def solve_u(
     """
     import scipy.sparse.linalg as spla
 
-    f = np.asarray(f, dtype=float)
-    if f.shape != (graph.n,):
-        raise ValidationError(f"f must have length {graph.n}")
+    f = graph.vertex_array(f, "f")
     if stats is not None:
         stats["cg_iters"] = 0
         stats["factored"] = False
@@ -228,10 +236,13 @@ def solve_u(
         factor = True
     if factor:
         ordering = "MMD_AT_PLUS_A" if pattern.perm is None else "NATURAL"
-        lu = spla.splu(
-            A, permc_spec=ordering, diag_pivot_thresh=0.0, relax=SUPERLU_RELAX,
-            panel_size=SUPERLU_PANEL_SIZE, options={"SymmetricMode": True},
-        )
+        try:
+            lu = spla.splu(
+                A, permc_spec=ordering, diag_pivot_thresh=0.0, relax=SUPERLU_RELAX,
+                panel_size=SUPERLU_PANEL_SIZE, options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # an exactly singular factor
+            raise SolverError(f"sparse LU factorization failed: {exc}") from None
         u = lu.solve(b)
     if stats is not None:
         stats["cg_iters"] = count[0]
@@ -303,9 +314,9 @@ def irls_minimize(
     computed, at most one), ``factor_nnz`` (nonzeros of L and U of the last
     factor, 0 if none) and ``accelerated`` (Anderson iterates kept).
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (graph.n,):
-        raise ValidationError(f"f must have length {graph.n}")
+    f = graph.vertex_array(f, "f")
+    # the first energy divides by lam eps n as well, so lambda is checked first
+    _system_constant(config.lam, config.eps, graph.n)
     u = f.copy()
     trace: list[dict] = []
     e0 = objective_sec6(graph, u, f, spec, config.lam, config.eps)
@@ -378,9 +389,7 @@ def detect_edges(graph: SparseGraph, u, jump_threshold: float) -> list[tuple[int
     """Sorted (i, j) list of edges whose endpoint values differ by more than the threshold."""
     if not jump_threshold >= 0:
         raise ValidationError("jump_threshold must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (graph.n,):
-        raise ValidationError(f"u must have length {graph.n}")
+    u = graph.vertex_array(u, "u")
     if graph.n_edges == 0:
         return []
     mask = np.abs(u[graph.ii] - u[graph.jj]) > jump_threshold

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -28,8 +29,10 @@ from gms.cli import (
     render_svg,
     write_cloud_csv,
 )
-from gms.core import PointCloud, SolverConfig, ZetaSpec
-from gms.datasets import generate_synthetic, ingest_housing
+from gms.continuum import DivergentIntegralError
+from gms.core import PointCloud, SolverConfig, ValidationError, ZetaSpec
+from gms.datasets import IngestError, generate_synthetic, ingest_housing
+from gms.energy import SingularityError
 from gms.graph import build_geometric_graph, load_graph, save_graph
 from gms.solver import irls_minimize
 
@@ -568,6 +571,94 @@ class TestNonFiniteParameters:
             assert out.read_text() == "i,j,jump\n"
 
 
+@pytest.fixture(scope="module")
+def cloud5(tmp_path_factory):
+    """The 5-point synthetic cloud of seed 0."""
+    path = tmp_path_factory.mktemp("cloud5") / "c5.csv"
+    assert run("synth", "--n", 5, "--seed", 0, "--out", path) == 0
+    return path
+
+
+@pytest.mark.parametrize("error", [IngestError, SingularityError, DivergentIntegralError])
+def test_every_input_error_is_a_validation_error(error):
+    # main's one exit-2 clause names only ValidationError and OSError
+    assert issubclass(error, ValidationError)
+
+
+class TestOutOfRangeConstants:
+    """Finite parameters whose derived constants leave the float range exit 2, naming the parameter, with no output."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["denoise", "--eps", "1e-160"], "eps=1e-160 puts eps^-2 outside the float range"),
+            (["denoise", "--eps", "1e200"], "eps=1e+200 puts eps^-2 outside the float range"),
+            (["denoise", "--sigma", "1e300"], "sigma=1e+300 puts sigma^2 eps^2 outside the float range"),
+            (["denoise", "--zeta", "tv", "--delta", "1e300"], "delta=1e+300 puts delta^2 outside the float range"),
+            (["denoise", "--lambda", "1e-310"], "lambda=1e-310 is too small"),
+            (["denoise", "--zeta", "lap", "--lambda", "1e-320"], "is too small: the system constant"),
+            (["denoise", "--zeta", "tv", "--lambda", "1e-320"], "is too small: the system constant"),
+            (["gamma", "--case", "step", "--sigma", "1e300"], "sigma=1e+300 puts sigma^2 outside the float range"),
+            (["gamma", "--case", "step", "--sigma", "1e-200"], "sigma=1e-200 puts sigma^2 outside the float range"),
+            (["gamma", "--case", "step", "--cutoff", "1e300"], "cutoff=1e+300, sigma=1: the squared cutoff radius"),
+            (["gamma", "--case", "smooth", "--zeta", "tv", "--delta", "1e300"], "delta=1e+300 puts delta^2"),
+        ],
+    )
+    def test_exit_2(self, cloud5, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        inputs = ["--input", cloud5] if argv[0] == "denoise" else ["--n", "50"]
+        assert run(*argv, *inputs, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+# (argv before the drawn flag, output name, the command's float flags);
+# denoise reads the 5-point cloud, the others draw their own input
+_CONTRACT_COMMANDS = [
+    *[(["denoise", "--zeta", zeta], "u.csv", ["--lambda", "--eps", "--sigma", "--delta", "--cutoff", "--cg-tol", "--irls-tol"])
+      for zeta in ("ms", "tv", "lap")],
+    *[(["gamma", "--case", case, "--zeta", zeta, "--n", "50"], "g.csv", ["--p", "--q", "--sigma", "--cutoff", "--delta"])
+      for case in ("smooth", "step") for zeta in ("ms", "tv")],
+    (["synth", "--n", "5"], "c.csv", ["--noise"]),
+    (["consistency", "--mode", "counterexample", "--k", "3"], "s", ["--alpha"]),
+]
+
+
+@st.composite
+def _contract_examples(draw):
+    prefix, out, flags = draw(st.sampled_from(_CONTRACT_COMMANDS))
+    flag = draw(st.sampled_from(flags))
+    value = draw(st.one_of(
+        st.builds("{}1e{}".format, st.sampled_from(["", "-"]), st.integers(-320, 308)),
+        st.sampled_from(["0", "inf", "-inf", "nan"]),
+    ))
+    # '=' keeps a negative value from reading as a flag
+    return prefix, out, f"{flag}={value}"
+
+
+class TestExitCodeContract:
+    """Any value of one float flag: exit 0, 2 or 3, no traceback, and no output after a nonzero exit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(example=_contract_examples())
+    def test_float_flags(self, cloud5, example):
+        prefix, out, setting = example
+        inputs = ["--input", cloud5] if prefix[0] == "denoise" else []
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
+            # as on the command line, where a RuntimeWarning is shown, not raised;
+            # record=True keeps the shown ones out of pytest's summary
+            warnings.simplefilter("default", RuntimeWarning)
+            tmp = Path(tmp)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(*prefix, *inputs, setting, "--out", tmp / out)
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert list(tmp.iterdir()) == []
+
+
 class TestNegativeSeed:
     """A negative ``--seed`` exits with code 2, naming it, before any output is written."""
 
@@ -745,7 +836,7 @@ class TestGamma:
 
     def test_divergent_integral_exit_2(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
-            raise gms.cli.DivergentIntegralError("kernel moment did not converge")
+            raise DivergentIntegralError("kernel moment did not converge")
 
         monkeypatch.setattr(gms.cli, "gamma_experiment", diverge)
         assert run("gamma", "--case", "step", "--n", "500", "--out", tmp_path / "gamma.csv") == 2
@@ -769,6 +860,14 @@ class TestConsistency:
         assert entry["k"] == 3 and entry["compared"] > 0 and entry["skipped"] > 0
         # the ball changes value as often along every axis: the last one is swept
         assert entry["axis"] == 2
+
+    @pytest.mark.parametrize("d", ["30", "64"])
+    def test_box_count_guard_exit_2(self, tmp_path, capsys, d):
+        # 2^d boxes: numpy would ask for 8 GiB at d=30 and cannot index 2^64
+        assert run("consistency", "--mode", "binning", "--n", "2", "--d", d, "--out", tmp_path / "s") == 2
+        err = capsys.readouterr().err
+        assert f"error: memory guard: n=2 at d={d} needs 2^{d} boxes, more than 1048576" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "args,flag",

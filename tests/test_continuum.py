@@ -276,11 +276,24 @@ class TestSampledEnergy:
     def test_non_finite_values_rejected(self, rng, ms_spec, bad):
         u = rng.random(200)
         u[42] = bad
-        with pytest.raises(ValidationError, match="values must be finite"):
+        with pytest.raises(ValidationError, match="labels must be finite"):
             sampled_energy(rng.random((200, 2)), u, ms_spec, 0.1)
         # an all-infinite cloud would otherwise look constant and read 0
         with pytest.raises(ValidationError):
             sampled_energy(rng.random((50, 2)), np.full(50, bad), ms_spec, 0.1)
+
+    @pytest.mark.parametrize(
+        "points, values, message",
+        [
+            (np.zeros((0, 2)), np.zeros(0), "points must be a nonempty"),
+            (np.zeros(5), np.zeros(5), "points must be a nonempty"),
+            (np.zeros((5, 2)), np.zeros(4), "labels must have length 5"),
+            (np.full((5, 2), np.nan), np.zeros(5), "point coordinates must be finite"),
+        ],
+    )
+    def test_malformed_cloud_rejected(self, ms_spec, points, values, message):
+        with pytest.raises(ValidationError, match=message):
+            sampled_energy(points, values, ms_spec, 0.1)
 
     def test_pair_counts(self, rng, ms_spec, tv_spec):
         # A step along either axis trims the runs on either side of it; tv

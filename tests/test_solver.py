@@ -255,6 +255,32 @@ class TestFactoredSolve:
         direct = spla.spsolve(A, f)
         assert np.linalg.norm(u - direct) <= 1e-10 * np.linalg.norm(direct)
 
+    def test_rejected_factorization_is_a_solver_error(self, stiff_system, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", singular)
+        graph, f, z, lam, eps = stiff_system
+        with pytest.raises(SolverError, match="Factor is exactly singular"):
+            solve_u(graph, f, z, lam, eps, factor=True)
+
+
+class TestSystemConstant:
+    """A lambda whose system constant 2/(lambda eps^2 n) is not finite is an input error."""
+
+    @pytest.mark.parametrize("lam", [1e-310, 1e-320, 5e-324])
+    def test_rejected_before_any_solve(self, rng, lam):
+        g = brute_force_graph(random_cloud(rng, 10), small_config(eps=0.3))
+        f = rng.random(10)
+        with pytest.raises(ValidationError, match="lambda=.* is too small"):
+            system_matrix(g, np.ones(g.n_edges), lam, 0.3)
+        with pytest.raises(ValidationError, match="lambda=.* is too small"):
+            irls_minimize(g, f, ZetaSpec("ms_arctan"), small_config(lam=lam, eps=0.3))
+
+    def test_smallest_finite_constant_accepted(self, rng):
+        g = brute_force_graph(random_cloud(rng, 10), small_config(eps=0.3))
+        assert system_matrix(g, np.zeros(g.n_edges), 1e-300, 0.3).shape == (10, 10)
+
 
 class TestOneOrderingPerRun:
     def test_one_mmd_ordering_then_natural(self, monkeypatch):
@@ -607,3 +633,19 @@ class TestDetectEdges:
         g = brute_force_graph(random_cloud(rng, 10), small_config(eps=0.3))
         with pytest.raises(ValidationError):
             detect_edges(g, np.zeros(10), -1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g, v: update_z(g, v, ZetaSpec("ms_arctan"), 0.3), "u must have length 10"),
+        (lambda g, v: solve_u(g, v, np.ones(g.n_edges), 1.0, 0.3), "f must have length 10"),
+        (lambda g, v: irls_minimize(g, v, ZetaSpec("ms_arctan"), small_config(eps=0.3)), "f must have length 10"),
+        (lambda g, v: detect_edges(g, v, 0.1), "u must have length 10"),
+        (lambda g, v: objective_sec6(g, v, np.zeros(10), ZetaSpec("ms_arctan"), 1.0, 0.3), "u must have length 10"),
+    ],
+)
+def test_vertex_array_length_rejected(rng, call, message):
+    g = brute_force_graph(random_cloud(rng, 10), small_config(eps=0.3))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(g, np.zeros(9))
