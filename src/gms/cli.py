@@ -42,6 +42,12 @@ def _zeta_from_flags(args) -> ZetaSpec:
     return ZetaSpec(kind)
 
 
+def _blas(library) -> dict:
+    """Name and version of the BLAS that ``library`` (numpy or scipy) was built against."""
+    blas = library.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas["name"], "version": blas["version"]}
+
+
 def _write_manifest(args, record: dict, duration: float) -> None:
     """Write ``<--out>.manifest.json``: the resolved flags plus ``record``.
 
@@ -49,8 +55,13 @@ def _write_manifest(args, record: dict, duration: float) -> None:
     and, for denoise and housing, the ``graph`` and ``solver`` statistics and
     the graph-build ``threads``; for gamma and the spike counterexample, the
     sweep axis and candidate-pair counts of each energy evaluation (``pairs``,
-    one entry per n or k).  ``environment`` holds the Python, numpy and scipy versions.
+    one entry per n or k).  ``environment`` holds the Python, numpy and scipy
+    versions, the name and version of the BLAS each of numpy and scipy was
+    built against, and the OPENBLAS_NUM_THREADS and OMP_NUM_THREADS settings
+    (None when unset), on which sums over more than 10,000 entries can depend.
     """
+    import os
+
     manifest = {
         "command": args.subcommand,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
@@ -59,6 +70,8 @@ def _write_manifest(args, record: dict, duration: float) -> None:
         "version": __version__,
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_blas": _blas(np), "scipy_blas": _blas(scipy),
+            **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         },
         **record,
     }

@@ -87,6 +87,15 @@ def _check_u_f(graph: SparseGraph, u, f) -> tuple[np.ndarray, np.ndarray]:
     return u, f
 
 
+def _edge_sum(graph: SparseGraph, terms: np.ndarray) -> float:
+    """``exact_sum`` of per-edge terms; a sum past the float range is a ValidationError naming eps and sigma."""
+    try:
+        return exact_sum(terms)
+    except OverflowError:
+        msg = f"eps={graph.eps:g}, sigma={graph.sigma:g}: the energy's sum over the edges leaves the float range"
+        raise ValidationError(msg) from None
+
+
 def pair_terms(
     u: np.ndarray, ii, jj, distances, weights, spec: ZetaSpec, eps: float, p: float, q: float,
     labels=None,
@@ -129,7 +138,7 @@ def gms_energy(
     if graph.n_edges == 0:
         return 0.0
     terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, p, q)
-    return 2.0 * exact_sum(terms) / (eps * graph.n**2)
+    return 2.0 * _edge_sum(graph, terms) / (eps * graph.n**2)
 
 
 def objective_sec6(
@@ -144,7 +153,7 @@ def objective_sec6(
     terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, 2.0, 0.0)
     return EnergyBreakdown(
         fidelity=exact_sum((u - f) ** 2),
-        regularizer=2.0 * exact_sum(terms) / (lam * eps * graph.n),
+        regularizer=2.0 * _edge_sum(graph, terms) / (lam * eps * graph.n),
         parameterization="sec6",
     )
 

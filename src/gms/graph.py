@@ -8,7 +8,7 @@ w_ij = eps^{-d} * exp(-r_ij^2 / (2 sigma^2 eps^2)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,17 +18,23 @@ __all__ = ["SparseGraph", "build_geometric_graph", "brute_force_graph", "save_gr
 
 BRUTE_FORCE_GUARD = 5000
 
-# One row of the edge-list file: "i j weight distance".
-_EDGE_FORMAT = "%d %d %.17g %.17g\n"
+# One row of the edge-list file: "i j distance".  The weight is not stored:
+# it is a function of the distance and the header's d, eps and sigma.
+_EDGE_FORMAT = "%d %d %.17g\n"
 
 
 @dataclass(frozen=True)
 class SparseGraph:
     """Symmetric weighted graph stored as a sorted (i < j) edge list.
 
-    ``ii``, ``jj`` are int arrays with ii < jj; ``weights`` and ``distances``
-    are the per-edge w_ij and r_ij.  Both orientations of an edge share the
-    stored values; the diagonal is implicitly zero.
+    ``ii``, ``jj`` are int arrays with ii < jj and ``distances`` the per-edge
+    r_ij.  Construction raises ValidationError unless every edge has
+    0 <= i < j < n, the edges are sorted by (i, j) without repeats and the
+    distances are finite and nonnegative; it then derives the per-edge
+    weights w_ij = eps^-d exp(-r_ij^2 / (2 sigma^2 eps^2)), so every graph,
+    built or read, is valid and its weights agree with its distances.  Both
+    orientations of an edge share the stored values; the diagonal is
+    implicitly zero.
     """
 
     n: int
@@ -37,8 +43,22 @@ class SparseGraph:
     sigma: float
     ii: np.ndarray
     jj: np.ndarray
-    weights: np.ndarray
     distances: np.ndarray
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        # The checks come first: the weights are formed from distances that
+        # may come from a file.
+        if np.any(self.ii >= self.jj):
+            raise ValidationError("edge list must satisfy i < j (no diagonal)")
+        di, dj = np.diff(self.ii), np.diff(self.jj)
+        if np.any((di < 0) | ((di == 0) & (dj <= 0))):
+            raise ValidationError("edge list must be sorted by (i, j) without duplicates")
+        if self.n_edges and (self.ii.min() < 0 or self.jj.max() >= self.n):
+            raise ValidationError(f"edge endpoints must be vertex indices in [0, {self.n})")
+        if not np.all((self.distances >= 0) & (self.distances < np.inf)):
+            raise ValidationError("distances must be finite and nonnegative")
+        object.__setattr__(self, "weights", _edge_weight(self.distances, self.dim, self.eps, self.sigma))
 
     @property
     def n_edges(self) -> int:
@@ -54,22 +74,6 @@ class SparseGraph:
             raise ValidationError(f"{name} must have length {self.n}")
         return values
 
-    def validate(self) -> None:
-        if np.any(self.ii >= self.jj):
-            raise ValidationError("edge list must satisfy i < j (no diagonal)")
-        di, dj = np.diff(self.ii), np.diff(self.jj)
-        if np.any((di < 0) | ((di == 0) & (dj <= 0))):
-            raise ValidationError("edge list must be sorted by (i, j) without duplicates")
-        if self.n_edges and (self.ii.min() < 0 or self.jj.max() >= self.n):
-            raise ValidationError(f"edge endpoints must be vertex indices in [0, {self.n})")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.distances))):
-            raise ValidationError("weights and distances must be finite")
-        if np.any(self.weights <= 0) or np.any(self.distances < 0):
-            raise ValidationError("weights must be positive and distances nonnegative")
-        expected = _edge_weight(self.distances, self.dim, self.eps, self.sigma)
-        if self.n_edges and np.max(np.abs(self.weights - expected) / expected) > 1e-12:
-            raise ValidationError("stored weights disagree with the kernel formula")
-
 
 def _edge_weight(r: np.ndarray, dim: int, eps: float, sigma: float) -> np.ndarray:
     """w = eps^-d exp(-r^2 / (2 sigma^2 eps^2)).
@@ -77,6 +81,7 @@ def _edge_weight(r: np.ndarray, dim: int, eps: float, sigma: float) -> np.ndarra
     The graph is where eps meets the dimension d, so the range of the
     constants is checked here: a ValidationError names eps when eps^-d or
     eps^2 is 0 or overflows a float, and sigma when 2 sigma^2 eps^2 does.
+    A distance whose exponent overflows gets weight 0, the limit exp(-inf).
     """
     try:
         scale = eps ** (-dim)
@@ -88,22 +93,14 @@ def _edge_weight(r: np.ndarray, dim: int, eps: float, sigma: float) -> np.ndarra
         raise ValidationError(f"eps={eps:g} puts eps^2 outside the float range")
     if not 0 < 2.0 * (sigma * sigma) * (eps * eps) < np.inf:
         raise ValidationError(f"sigma={sigma:g} puts sigma^2 eps^2 outside the float range at eps={eps:g}")
-    return scale * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * sigma**2 * eps**2))
+    with np.errstate(over="ignore"):
+        return scale * np.exp(-np.asarray(r, dtype=float) ** 2 / (2.0 * sigma**2 * eps**2))
 
 
 def _finalize(cloud: PointCloud, config: SolverConfig, ii: np.ndarray, jj: np.ndarray) -> SparseGraph:
     """Graph on the edges (ii, jj), given sorted by (i, j) with i < j."""
     r = np.linalg.norm(cloud.points[ii] - cloud.points[jj], axis=1)
-    return SparseGraph(
-        n=cloud.n,
-        dim=cloud.dim,
-        eps=config.eps,
-        sigma=config.sigma,
-        ii=ii,
-        jj=jj,
-        weights=_edge_weight(r, cloud.dim, config.eps, config.sigma),
-        distances=r,
-    )
+    return SparseGraph(n=cloud.n, dim=cloud.dim, eps=config.eps, sigma=config.sigma, ii=ii, jj=jj, distances=r)
 
 
 def _cap_neighbors(dist: np.ndarray, idx: np.ndarray, k_max: int) -> np.ndarray:
@@ -209,10 +206,14 @@ def brute_force_graph(cloud: PointCloud, config: SolverConfig) -> SparseGraph:
 
 
 def save_graph(graph: SparseGraph, path) -> None:
-    """Write the edge-list text format: header "n d eps sigma", then "i j weight distance"."""
+    """Write the edge-list text format: header "n d eps sigma", then "i j distance" per edge.
+
+    Weights are not written: :class:`SparseGraph` derives them from the
+    distances, so :func:`load_graph` gives back the same weights bit for bit.
+    """
     with open(path, "w") as fh:
         fh.write(f"{graph.n} {graph.dim} {graph.eps:.17g} {graph.sigma:.17g}\n")
-        write_rows(fh, _EDGE_FORMAT, (graph.ii, graph.jj, graph.weights, graph.distances))
+        write_rows(fh, _EDGE_FORMAT, (graph.ii, graph.jj, graph.distances))
 
 
 def load_graph(path) -> SparseGraph:
@@ -220,12 +221,11 @@ def load_graph(path) -> SparseGraph:
 
     Raises ValidationError for a header that is not "n d eps sigma" with
     integer n, d >= 1 and positive finite eps, sigma; for an edge row that is
-    not four finite numbers "i j weight distance" with integer i, j; and for
-    any edge list that :meth:`SparseGraph.validate` rejects (i >= j, rows not
-    sorted by (i, j) or repeated, indices outside [0, n), inconsistent
-    weights and distances).
+    not three finite numbers "i j distance" with integer i, j; and for any
+    edge list that :class:`SparseGraph` rejects (i >= j, rows not sorted by
+    (i, j) or repeated, indices outside [0, n), negative distances).
     """
-    header, rows = read_table(path, columns=4, delimiter=None)
+    header, rows = read_table(path, columns=3, delimiter=None)
     try:
         if len(header) != 4:
             raise ValueError
@@ -236,9 +236,4 @@ def load_graph(path) -> SparseGraph:
     if n < 1 or dim < 1 or not (0 < eps < np.inf and 0 < sigma < np.inf):
         raise ValidationError(f"{path}: graph header needs n, d >= 1 and positive finite eps, sigma")
     ends = vertex_pairs(path, rows)
-    graph = SparseGraph(
-        n=n, dim=dim, eps=eps, sigma=sigma,
-        ii=ends[:, 0], jj=ends[:, 1], weights=rows[:, 2], distances=rows[:, 3],
-    )
-    graph.validate()
-    return graph
+    return SparseGraph(n=n, dim=dim, eps=eps, sigma=sigma, ii=ends[:, 0], jj=ends[:, 1], distances=rows[:, 2])

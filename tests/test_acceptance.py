@@ -243,6 +243,16 @@ def test_criterion_07_counterexample():
     assert flat_ok
 
 
+def test_counterexample_energy_stays_bounded():
+    """The spike sequence's claim for k = 3..6: energy bounded by its k = 3 value,
+    L1 in [1/8, 8] and a sup norm that at least doubles with each k."""
+    results = [dyadic_counterexample(k, alpha=0.7, d=3) for k in (3, 4, 5, 6)]
+    energies = [r["energy"] for r in results]
+    assert all(e <= energies[0] for e in energies), energies
+    assert all(2.0**-3 <= r["l1"] <= 2.0**3 for r in results)
+    assert all(b["max_u"] >= 2.0 * a["max_u"] for a, b in zip(results, results[1:]))
+
+
 def test_criterion_08_binning_experiment():
     # The sup-deviation shrinks only like (ln n)^(-1/4) under the default box
     # rule, so the 5-seed median comparison is noisy; over 20 seeds the medians

@@ -303,9 +303,21 @@ class TestEnvironmentManifest:
         path = {"synth": cloud_path, "denoise": u, "edges": tmp_path / "e.csv"}[command]
         manifest = json.loads(Path(f"{path}.manifest.json").read_text())
         assert manifest["command"] == command
+        blas = {lib.__name__: lib.show_config(mode="dicts")["Build Dependencies"]["blas"] for lib in (np, scipy)}
         assert manifest["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+            **{f"{lib}_blas": {"name": b["name"], "version": b["version"]} for lib, b in blas.items()},
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
         }
+
+    def test_manifest_records_blas_thread_settings(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "c.csv"
+        assert run("synth", "--n", 5, "--out", out) == 0
+        environment = json.loads(Path(f"{out}.manifest.json").read_text())["environment"]
+        assert environment["OPENBLAS_NUM_THREADS"] == "1" and environment["OMP_NUM_THREADS"] is None
 
 
 class TestEdgesTable:
@@ -496,8 +508,13 @@ class TestMalformedGraph:
         assert self.edges_exit(*edge_inputs, tmp_path) == 0
 
     def test_non_finite_weight_and_distance(self, edge_inputs, tmp_path):
-        self.edit_row(edge_inputs[0], 2, lambda f: f[:2] + ["nan", "nan"])
+        self.edit_row(edge_inputs[0], 2, lambda f: f[:2] + ["nan"])
         assert self.edges_exit(*edge_inputs, tmp_path) == 2
+
+    def test_negative_distance(self, edge_inputs, tmp_path, capsys):
+        self.edit_row(edge_inputs[0], 2, lambda f: f[:2] + ["-0.5"])
+        assert self.edges_exit(*edge_inputs, tmp_path) == 2
+        assert "distances must be finite and nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "row, edit",
@@ -519,13 +536,13 @@ class TestMalformedGraph:
         edge_inputs[0].write_text("\n".join(lines[:2] + lines[1:]) + "\n")
         assert self.edges_exit(*edge_inputs, tmp_path) == 2
 
-    @pytest.mark.parametrize("n_fields", [3, 5])
+    @pytest.mark.parametrize("n_fields", [2, 5])
     def test_row_field_count(self, edge_inputs, tmp_path, n_fields):
-        self.edit_row(edge_inputs[0], 3, lambda f: (f + ["0.5"])[:n_fields])
+        self.edit_row(edge_inputs[0], 3, lambda f: (f + ["0.5", "0.5"])[:n_fields])
         assert self.edges_exit(*edge_inputs, tmp_path) == 2
 
     @pytest.mark.parametrize(
-        "row, edit", [(4, lambda f: f[:2] + ["abc"] + f[3:]), (3, lambda f: f[:3])], ids=["bad_field", "short_row"]
+        "row, edit", [(4, lambda f: f[:2] + ["abc"] + f[3:]), (3, lambda f: f[:2])], ids=["bad_field", "short_row"]
     )
     def test_error_names_the_file_line(self, edge_inputs, tmp_path, capsys, row, edit):
         self.edit_row(edge_inputs[0], row, edit)
@@ -602,6 +619,8 @@ class TestOutOfRangeConstants:
             (["gamma", "--case", "step", "--sigma", "1e-200"], "sigma=1e-200 puts sigma^2 outside the float range"),
             (["gamma", "--case", "step", "--cutoff", "1e300"], "cutoff=1e+300, sigma=1: the squared cutoff radius"),
             (["gamma", "--case", "smooth", "--zeta", "tv", "--delta", "1e300"], "delta=1e+300 puts delta^2"),
+            (["denoise", "--eps", "1e-154", "--sigma", "5e153"],
+             "eps=1e-154, sigma=5e+153: the energy's sum over the edges leaves the float range"),
         ],
     )
     def test_exit_2(self, cloud5, tmp_path, capsys, argv, message):
@@ -625,38 +644,64 @@ _CONTRACT_COMMANDS = [
 ]
 
 
+# ±10^k over the float range, 0, ±inf and nan; '=' keeps a negative value
+# from reading as a flag
+_FLAG_VALUES = st.one_of(
+    st.builds("{}1e{}".format, st.sampled_from(["", "-"]), st.integers(-320, 308)),
+    st.sampled_from(["0", "inf", "-inf", "nan"]),
+)
+
+
 @st.composite
 def _contract_examples(draw):
     prefix, out, flags = draw(st.sampled_from(_CONTRACT_COMMANDS))
-    flag = draw(st.sampled_from(flags))
-    value = draw(st.one_of(
-        st.builds("{}1e{}".format, st.sampled_from(["", "-"]), st.integers(-320, 308)),
-        st.sampled_from(["0", "inf", "-inf", "nan"]),
-    ))
-    # '=' keeps a negative value from reading as a flag
-    return prefix, out, f"{flag}={value}"
+    return prefix, out, [f"{draw(st.sampled_from(flags))}={draw(_FLAG_VALUES)}"]
+
+
+@st.composite
+def _contract_pair_examples(draw):
+    """denoise with two flags that meet in the edge weights or the cutoff radius."""
+    zeta = draw(st.sampled_from(["ms", "tv", "lap"]))
+    pair = draw(st.sampled_from([("--eps", "--sigma"), ("--sigma", "--cutoff")]))
+    return ["denoise", "--zeta", zeta], "u.csv", [f"{flag}={draw(_FLAG_VALUES)}" for flag in pair]
 
 
 class TestExitCodeContract:
-    """Any value of one float flag: exit 0, 2 or 3, no traceback, and no output after a nonzero exit."""
+    """Any value of one float flag, or of two denoise flags together: exit 0, 2 or 3, no
+    traceback, and no output after a nonzero exit.  A graph that denoise writes, gms edges reads."""
 
     @settings(max_examples=150, deadline=None)
     @given(example=_contract_examples())
     def test_float_flags(self, cloud5, example):
-        prefix, out, setting = example
-        inputs = ["--input", cloud5] if prefix[0] == "denoise" else []
+        self.check(cloud5, *example)
+
+    @settings(max_examples=100, deadline=None)
+    @given(example=_contract_pair_examples())
+    # weights near 1e308 whose energy sum overflows; weights that underflow to 0
+    @example(example=(["denoise", "--zeta", "ms"], "u.csv", ["--eps=1e-154", "--sigma=5e153"]))
+    @example(example=(["denoise", "--zeta", "ms"], "u.csv", ["--sigma=1e-150", "--cutoff=1e300"]))
+    def test_float_flag_pairs(self, cloud5, example):
+        self.check(cloud5, *example)
+
+    @staticmethod
+    def check(cloud5, prefix, out, flags):
+        denoise = prefix[0] == "denoise"
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
             # as on the command line, where a RuntimeWarning is shown, not raised;
             # record=True keeps the shown ones out of pytest's summary
             warnings.simplefilter("default", RuntimeWarning)
             tmp = Path(tmp)
+            inputs = ["--input", cloud5, "--graph-out", tmp / "g.txt"] if denoise else []
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run(*prefix, *inputs, setting, "--out", tmp / out)
-            assert code in (0, 2, 3)
-            assert "Traceback" not in err.getvalue()
-            if code:
-                assert list(tmp.iterdir()) == []
+                code = run(*prefix, *inputs, *flags, "--out", tmp / out)
+                assert code in (0, 2, 3)
+                assert "Traceback" not in err.getvalue()
+                if code:
+                    assert list(tmp.iterdir()) == []
+                elif denoise:
+                    edges = ["--solution", tmp / out, "--graph", tmp / "g.txt", "--jump", "0.1"]
+                    assert run("edges", *edges, "--out", tmp / "e.csv") == 0, err.getvalue()
 
 
 class TestNegativeSeed:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gms import core
+from gms import core, graph
 from gms.core import (
     PointCloud,
     SolverConfig,
@@ -24,7 +24,6 @@ from gms.core import (
 from gms.consistency import density_deviation_curve
 from gms.continuum import NoisyFidelityCase, StepCase, gamma_experiment, noise_offset_experiment, sphere_moment_mc
 from gms.datasets import generate_synthetic
-from gms.graph import SparseGraph, save_graph
 
 ALL_SPECS = [
     ZetaSpec("ms_arctan"),
@@ -236,12 +235,19 @@ class TestReadTable:
     @example(rows=[])
     @example(rows=AWKWARD)
     def test_graph_table(self, rows):
-        ends = np.array([r[0] for r in rows], dtype=np.int64)
-        w, r = (np.array([row[c] for row in rows], dtype=float) for c in (1, 2))
-        graph = SparseGraph(n=3, dim=2, eps=0.1, sigma=1.0, ii=ends, jj=ends[::-1], weights=w, distances=r)
-        _, (header, table) = self.read_written(lambda path: save_graph(graph, path), columns=4, delimiter=None)
+        # both float columns of the drawn rows go into the distance column
+        ends = np.array([r[0] for r in rows] * 2, dtype=np.int64)
+        r = np.array([row[c] for c in (1, 2) for row in rows], dtype=float)
+
+        def write(path):
+            # the rows that save_graph writes
+            with open(path, "w") as fh:
+                fh.write("3 2 0.10000000000000001 1\n")
+                write_rows(fh, graph._EDGE_FORMAT, (ends, ends[::-1], r))
+
+        _, (header, table) = self.read_written(write, columns=3, delimiter=None)
         assert header == ["3", "2", "0.10000000000000001", "1"]
-        expected = np.column_stack([ends, ends[::-1], w, r]).astype(float).reshape(-1, 4)
+        expected = np.column_stack([ends, ends[::-1], r]).astype(float).reshape(-1, 3)
         assert table.tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None)

@@ -117,14 +117,11 @@ class TestObjectiveSec6:
         assert e.total == 0.0
 
     def test_three_point_path_hand_computation(self, ms_spec):
-        # hand-built path graph 0-1-2 with explicit weights
+        # hand-built path graph 0-1-2; at eps = sigma = 1 in 2-D the weights are exp(-r^2 / 2)
         g = SparseGraph(
-            n=3, dim=2, eps=1.0, sigma=1.0,
-            ii=np.array([0, 1]), jj=np.array([1, 2]),
-            weights=np.exp(-np.array([0.2, 0.3]) ** 2 / 2.0),
-            distances=np.array([0.2, 0.3]),
+            n=3, dim=2, eps=1.0, sigma=1.0, ii=np.array([0, 1]), jj=np.array([1, 2]), distances=np.array([0.2, 0.3]),
         )
-        g.validate()
+        assert g.weights.tolist() == np.exp(-np.array([0.2, 0.3]) ** 2 / 2.0).tolist()
         u = np.array([0.0, 0.5, 1.0])
         f = np.array([0.1, 0.4, 0.9])
         e = objective_sec6(g, u, f, ms_spec, lam=1.0, eps=1.0)
