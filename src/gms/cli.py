@@ -33,6 +33,8 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 ZETA_FLAGS = {"ms": "ms_arctan", "tv": "tv_smoothed", "lap": "quadratic"}
+# --delta of denoise, housing and gamma
+DEFAULT_DELTA = 0.001
 
 
 def _zeta_from_flags(args) -> ZetaSpec:
@@ -153,7 +155,7 @@ def _minimize(args, cloud: PointCloud, truth=None):
     if truth is not None:
         print(f"l1_error {l1_error(solution.u, truth):.6f}")
     objective = objective_sec1 if args.sec1 else objective_sec6
-    e = objective(graph, solution.u, cloud.labels, spec, args.lam, args.eps)
+    e = objective(graph, solution.u, cloud.labels, spec, args.lam)
     print(
         f"energy[{e.parameterization}] fidelity={e.fidelity:.9g} "
         f"regularizer={e.regularizer:.9g} total={e.total:.9g}"
@@ -201,10 +203,6 @@ def cmd_housing(args) -> dict:
 def cmd_edges(args) -> dict:
     graph = load_graph(args.graph)
     u = _read_values_csv(args.solution)
-    if len(u) != graph.n:
-        raise ValidationError(
-            f"solution length {len(u)} does not match graph vertex count {graph.n}"
-        )
     flagged = detect_edges(graph, u, args.jump)
     ii, jj = np.array(flagged, dtype=np.int64).reshape(-1, 2).T
     with open(args.out, "w", newline="") as fh:
@@ -339,15 +337,18 @@ def cmd_plot(args) -> dict:
 
 def _add_solver_flags(p):
     p.add_argument("--zeta", choices=sorted(ZETA_FLAGS), default="ms")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=8)
-    p.add_argument("--delta", type=float, default=0.001, help="tv smoothing offset")
-    p.add_argument("--cutoff", type=float, default=3.0, help="truncation radius / (sigma eps)")
-    p.add_argument("--cg-tol", type=float, default=1e-8)
-    p.add_argument("--irls-tol", type=float, default=1e-6)
-    p.add_argument("--irls-max-iter", type=int, default=100)
+    # the defaults are SolverConfig's (a dataclass field's default is its class attribute)
+    p.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam)
+    p.add_argument("--eps", type=float, default=SolverConfig.eps)
+    p.add_argument("--sigma", type=float, default=SolverConfig.sigma)
+    p.add_argument("--k", type=int, default=SolverConfig.k_max)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="tv smoothing offset")
+    p.add_argument(
+        "--cutoff", type=float, default=SolverConfig.cutoff_multiplier, help="truncation radius / (sigma eps)"
+    )
+    p.add_argument("--cg-tol", type=float, default=SolverConfig.cg_tol)
+    p.add_argument("--irls-tol", type=float, default=SolverConfig.irls_tol)
+    p.add_argument("--irls-max-iter", type=int, default=SolverConfig.irls_max_iter)
     p.add_argument("--threads", type=int, default=1, help="graph-build workers")
     p.add_argument(
         "--sec1", action="store_true",
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=["smooth", "step"], required=True)
     p.add_argument("--n", default="1000,4000,16000", help="comma-separated sample sizes")
     p.add_argument("--zeta", choices=sorted(ZETA_FLAGS), default="ms")
-    p.add_argument("--delta", type=float, default=0.001)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=None, help="kernel width (case default if omitted)")

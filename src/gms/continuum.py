@@ -200,6 +200,23 @@ def sigma_eta(d: int, eta: Callable) -> float:
     return 2.0 * omega_ball_volume(d - 1) * _moment(eta, float(d))
 
 
+def _scaled(constant: float, sigma: float, power: float) -> float:
+    """sigma^power * constant: a kernel constant of eta(t / sigma) from the same constant of eta.
+
+    The moment of order power - 1 of eta(t / sigma) is sigma^power times that
+    of eta.  Raises ValidationError naming sigma when the product is 0 or
+    overflows a float.
+    """
+    try:
+        value = sigma**power * constant
+    except OverflowError:
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ValidationError(f"sigma={sigma:g} puts the kernel constant sigma^{power:g} * {constant:g} "
+                              "outside the float range")
+    return value
+
+
 def gaussian_eta(sigma: float = 1.0, cutoff_multiplier: float = 3.0) -> Callable:
     """The truncated Gaussian profile matching the graph builder's edge weights, for scalar t."""
     cut = cutoff_multiplier * sigma
@@ -223,13 +240,17 @@ class SmoothCase:
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.amplitude * np.sin(2.0 * np.pi * self.frequency * x[..., 0])
 
-    def continuum(self, spec: ZetaSpec, eta: Callable, p: float, q: float) -> float:
-        """theta(p, q) zeta'(0) int |grad u|^p by 256-point Gauss-Legendre along x_1; no jump term."""
+    def continuum(self, spec: ZetaSpec, eta: Callable, p: float, q: float, sigma: float = 1.0) -> float:
+        """theta(p, q) zeta'(0) int |grad u|^p by 256-point Gauss-Legendre along x_1; no jump term.
+
+        theta is that of the kernel eta(t / sigma): sigma^(p-q+d) times eta's.
+        """
         x, w = np.polynomial.legendre.leggauss(256)
         x, w = (x + 1.0) / 2.0, w / 2.0
         k = 2.0 * np.pi * self.frequency
         grad_term = float(np.sum(np.abs(self.amplitude * k * np.cos(k * x)) ** p * w))
-        return theta_eta(p, q, self.d, eta) * zeta_derivative(spec, 0.0) * grad_term
+        theta = _scaled(theta_eta(p, q, self.d, eta), sigma, p - q + self.d)
+        return theta * zeta_derivative(spec, 0.0) * grad_term
 
 
 @dataclass(frozen=True)
@@ -246,14 +267,17 @@ class StepCase:
     def values(self, x: np.ndarray) -> np.ndarray:
         return np.where(x[..., 0] > self.location, self.high, self.low)
 
-    def continuum(self, spec: ZetaSpec, eta: Callable, p: float, q: float) -> float:
-        """sigma Theta H^{d-1}(S_u), with H^{d-1}(S_u) = 1; there is no gradient term, so no p or q."""
-        sigma, limit = sigma_eta(self.d, eta), zeta_limit(spec)
+    def continuum(self, spec: ZetaSpec, eta: Callable, p: float, q: float, sigma: float = 1.0) -> float:
+        """sigma_eta Theta H^{d-1}(S_u), with H^{d-1}(S_u) = 1; there is no gradient term, so no p or q.
+
+        sigma_eta is that of the kernel eta(t / sigma): sigma^(d+1) times eta's.
+        """
+        jump, limit = _scaled(sigma_eta(self.d, eta), sigma, self.d + 1), zeta_limit(spec)
         if self.high == self.low:
             return 0.0
         if limit is None:
             raise ValidationError("jump-set cases need a finite saturation limit (bounded zeta)")
-        return sigma * limit
+        return jump * limit
 
 
 @dataclass(frozen=True)
@@ -507,10 +531,11 @@ def gamma_experiment(
     Each n is evaluated at eps_n = 0.7 n^{-1/4}.  The kernel width ``sigma``
     trades statistical noise against the finite-eps saturation bias of bounded
     zeta; it defaults to the case's ``default_sigma``, and ``case.continuum``
-    gives the limit for the same truncated kernel, which must not be 0 (a
-    flat step, a zero amplitude), as the ratio divides by it.  Each row's
-    ``pairs`` holds the sweep axis and candidate-pair counts of its
-    ``sampled_energy`` call.  A sigma^2, or an n's squared cutoff radius
+    gives the limit for the same truncated kernel, its constants scaled from
+    the unit-width kernel's, which must not be 0 (a flat step, a zero
+    amplitude), as the ratio divides by it.  Each row's ``pairs`` holds the
+    sweep axis and candidate-pair counts of its ``sampled_energy`` call.  A
+    sigma^2, a scaled kernel constant, or an n's squared cutoff radius
     (cutoff_multiplier sigma eps_n)^2, that is 0 or overflows a float raises
     ValidationError.
     """
@@ -521,9 +546,11 @@ def gamma_experiment(
     sigma = case.default_sigma if sigma is None else sigma
     if not 0 < sigma * sigma < math.inf:
         raise ValidationError(f"sigma={sigma:g} puts sigma^2 outside the float range")
-    eta = gaussian_eta(sigma, cutoff_multiplier)
+    # the truncated Gaussian of width sigma is the unit one rescaled, so the
+    # quadrature runs on the unit kernel, however narrow the real one is
+    eta = gaussian_eta(1.0, cutoff_multiplier)
     with np.errstate(over="ignore"):  # checked below
-        continuum = case.continuum(spec, eta, p, q)
+        continuum = case.continuum(spec, eta, p, q, sigma)
     if continuum == 0:
         raise ValidationError(f"the continuum limit of {case} is 0, so the ratio discrete / continuum is undefined")
     rng = np.random.default_rng(seed)

@@ -81,19 +81,25 @@ def _check_u_f(graph: SparseGraph, u, f) -> tuple[np.ndarray, np.ndarray]:
     u = graph.vertex_array(u, "u")
     if f is None:
         raise ValidationError("labels are required for the fidelity term")
-    f = np.asarray(f, dtype=float)
-    if f.shape != u.shape:
-        raise ValidationError("labels must match u in length")
-    return u, f
+    return u, graph.vertex_array(f, "f")
 
 
-def _edge_sum(graph: SparseGraph, terms: np.ndarray) -> float:
-    """``exact_sum`` of per-edge terms; a sum past the float range is a ValidationError naming eps and sigma."""
+def _finite_sum(graph: SparseGraph, terms: np.ndarray, what: str, f=None) -> float:
+    """``exact_sum`` of the energy's terms; a sum that overflows or is not finite raises ValidationError.
+
+    The message names the graph's eps and sigma, ``what`` was summed and, when
+    the labels ``f`` are given, their largest |f|.
+    """
     try:
-        return exact_sum(terms)
+        total = exact_sum(terms)
     except OverflowError:
-        msg = f"eps={graph.eps:g}, sigma={graph.sigma:g}: the energy's sum over the edges leaves the float range"
-        raise ValidationError(msg) from None
+        total = math.inf
+    if math.isfinite(total):
+        return total
+    labels = "" if f is None else f" (largest |f| = {np.max(np.abs(f)):g})"
+    raise ValidationError(
+        f"eps={graph.eps:g}, sigma={graph.sigma:g}: the energy's {what} leaves the float range{labels}"
+    )
 
 
 def pair_terms(
@@ -129,40 +135,45 @@ def pair_terms(
     return t
 
 
-def gms_energy(
-    graph: SparseGraph, u, spec: ZetaSpec, eps: float, p: float = 2.0, q: float = 0.0
-) -> float:
-    """Fidelity-free energy (1/(eps n^2)) sum_{i,j} zeta(|du|^p / (eps^{p-1-q} r^q)) w_ij."""
+def gms_energy(graph: SparseGraph, u, spec: ZetaSpec, *, p: float = 2.0, q: float = 0.0) -> float:
+    """Fidelity-free energy (1/(eps n^2)) sum_{i,j} zeta(|du|^p / (eps^{p-1-q} r^q)) w_ij, eps the graph's."""
     u = graph.vertex_array(u, "u")
     check_exponents(p, q)
     if graph.n_edges == 0:
         return 0.0
-    terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, p, q)
-    return 2.0 * _edge_sum(graph, terms) / (eps * graph.n**2)
+    eps = graph.eps
+    # a term that overflows, or an infinite one times a zero weight, fails the sum's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, p, q)
+    return 2.0 * _finite_sum(graph, terms, "sum over the edges") / (eps * graph.n**2)
 
 
-def objective_sec6(
-    graph: SparseGraph, u, f, spec: ZetaSpec, lam: float, eps: float
-) -> EnergyBreakdown:
-    """Algorithmic objective: sum |u_i - f_i|^2 + (1/(lam eps n)) sum zeta(|du|^2/eps) w_ij.
+def objective_sec6(graph: SparseGraph, u, f, spec: ZetaSpec, lam: float) -> EnergyBreakdown:
+    """Algorithmic objective: sum |u_i - f_i|^2 + (1/(lam eps n)) sum zeta(|du|^2/eps) w_ij, eps the graph's.
 
     This is the value of the half-quadratic objective at the optimal edge
-    weights z, since min_z (z t + Psi(z)) = zeta(t).
+    weights z, since min_z (z t + Psi(z)) = zeta(t).  A fidelity or edge sum
+    that overflows or is not finite raises ValidationError naming eps, sigma
+    and the labels' largest |f|; zeta saturating at an infinite argument
+    leaves the sum finite.
     """
     u, f = _check_u_f(graph, u, f)
-    terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, 2.0, 0.0)
+    eps = graph.eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = pair_terms(u, graph.ii, graph.jj, graph.distances, graph.weights, spec, eps, 2.0, 0.0)
+        residual = (u - f) ** 2
     return EnergyBreakdown(
-        fidelity=exact_sum((u - f) ** 2),
-        regularizer=2.0 * _edge_sum(graph, terms) / (lam * eps * graph.n),
+        fidelity=_finite_sum(graph, residual, "fidelity sum", f),
+        regularizer=2.0 * _finite_sum(graph, terms, "sum over the edges", f) / (lam * eps * graph.n),
         parameterization="sec6",
     )
 
 
-def objective_sec1(graph: SparseGraph, u, f, spec: ZetaSpec, lam: float, eps: float) -> EnergyBreakdown:
-    """Published-form objective: (lam/n) sum |u_i - f_i|^2 plus the p=2, q=0 regularizer."""
+def objective_sec1(graph: SparseGraph, u, f, spec: ZetaSpec, lam: float) -> EnergyBreakdown:
+    """Published-form objective: (lam/n) sum |u_i - f_i|^2 plus the p=2, q=0 regularizer, eps the graph's."""
     u, f = _check_u_f(graph, u, f)
     return EnergyBreakdown(
         fidelity=lam / graph.n * exact_sum((u - f) ** 2),
-        regularizer=gms_energy(graph, u, spec, eps),
+        regularizer=gms_energy(graph, u, spec),
         parameterization="sec1",
     )

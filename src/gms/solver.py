@@ -94,11 +94,15 @@ def forcing_tol(cg_tol: float, decrease: float | None) -> float:
     return max(cg_tol, min(FORCING_CAP, FORCING_FACTOR * decrease))
 
 
-def update_z(graph: SparseGraph, u, spec: ZetaSpec, eps: float) -> np.ndarray:
-    """Optimal per-edge weights z_ij = zeta'(|u_i - u_j|^2 / eps)."""
+def update_z(graph: SparseGraph, u, spec: ZetaSpec) -> np.ndarray:
+    """Optimal per-edge weights z_ij = zeta'(|u_i - u_j|^2 / eps), eps the graph's.
+
+    An argument that overflows to inf gets zeta'(inf): 1 for the quadratic zeta, 0 for the others.
+    """
     u = graph.vertex_array(u, "u")
     du = u[graph.ii] - u[graph.jj]
-    return np.asarray(zeta_derivative(spec, du**2 / eps))
+    with np.errstate(over="ignore"):
+        return np.asarray(zeta_derivative(spec, du**2 / graph.eps))
 
 
 class SystemPattern:
@@ -130,21 +134,19 @@ class SystemPattern:
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
 
 
-def _system_constant(lam: float, eps: float, n: int) -> float:
-    """c = 2/(lam eps^2 n), the factor of the Laplacian in every system.
+def _system_constant(graph: SparseGraph, lam: float) -> float:
+    """c = 2/(lam eps^2 n), the factor of the Laplacian in every system, with the graph's eps and n.
 
     Raises ValidationError naming lambda when c is not finite.
     """
-    scale = lam * eps**2 * n
+    scale = lam * graph.eps**2 * graph.n
     if not (scale > 0 and 2.0 / scale < np.inf):
         raise ValidationError(f"lambda={lam:g} is too small: the system constant 2/(lambda eps^2 n) is not finite")
     return 2.0 / scale
 
 
-def system_matrix(
-    graph: SparseGraph, z, lam: float, eps: float, pattern: SystemPattern | None = None
-):
-    """I + (2/(lam eps^2 n)) L_zw as a scipy.sparse CSC matrix.
+def system_matrix(graph: SparseGraph, z, lam: float, *, pattern: SystemPattern | None = None):
+    """I + (2/(lam eps^2 n)) L_zw as a scipy.sparse CSC matrix, eps the graph's.
 
     Built on ``pattern`` if given (a new unpermuted one otherwise), so the
     rows and columns come in that pattern's vertex order.
@@ -161,7 +163,7 @@ def system_matrix(
     if pattern is None:
         pattern = SystemPattern(graph)
     n = graph.n
-    c = _system_constant(lam, eps, n)
+    c = _system_constant(graph, lam)
     zw = z * graph.weights
     # Each degree is summed over the edges' i ends, then their j ends, in edge
     # order: a fixed summation order, so reruns are bit-identical.
@@ -177,7 +179,7 @@ def solve_u(
     f,
     z,
     lam: float,
-    eps: float,
+    *,
     cg_tol: float = 1e-8,
     x0=None,
     stats: dict | None = None,
@@ -185,7 +187,7 @@ def solve_u(
     cg_rtol: float | None = None,
     factor: bool = False,
 ) -> np.ndarray:
-    """Solve (I + (2/(lam eps^2 n)) L_zw) u = f.
+    """Solve (I + (2/(lam eps^2 n)) L_zw) u = f, eps the graph's.
 
     A is assembled on ``pattern`` (see :class:`SystemPattern`).  On an
     unpermuted pattern, CG with a Jacobi preconditioner runs first, from
@@ -215,7 +217,7 @@ def solve_u(
         return f.copy()
     if pattern is None:
         pattern = SystemPattern(graph)
-    A = system_matrix(graph, z, lam, eps, pattern)
+    A = system_matrix(graph, z, lam, pattern=pattern)
     if cg_rtol is None:
         cg_rtol = cg_tol
     count = [0]
@@ -309,6 +311,10 @@ def irls_minimize(
     replaced by its Anderson mix when that has lower energy (see
     :func:`_anderson_step`); the trace and the stop rule use the iterate kept.
 
+    eps comes from the graph, as in every function on a graph: the
+    ``eps``, ``sigma``, ``k_max`` and ``cutoff_multiplier`` of ``config`` are
+    there to build the graph, and the solver reads the rest.
+
     When ``stats`` is given it receives ``irls_iters``, ``cg_iters`` (summed
     over the run), ``factorizations``, ``orderings`` (fill-reducing orderings
     computed, at most one), ``factor_nnz`` (nonzeros of L and U of the last
@@ -316,10 +322,10 @@ def irls_minimize(
     """
     f = graph.vertex_array(f, "f")
     # the first energy divides by lam eps n as well, so lambda is checked first
-    _system_constant(config.lam, config.eps, graph.n)
+    _system_constant(graph, config.lam)
     u = f.copy()
     trace: list[dict] = []
-    e0 = objective_sec6(graph, u, f, spec, config.lam, config.eps)
+    e0 = objective_sec6(graph, u, f, spec, config.lam)
     trace.append({
         "iter": 0, "fidelity": e0.fidelity, "regularizer": e0.regularizer, "total": e0.total,
         "cg_iters": 0, "cg_tol": None,
@@ -333,7 +339,7 @@ def irls_minimize(
     history: list[tuple[np.ndarray, np.ndarray]] = []  # the last plain (g, r) pairs
     it = 0
     for it in range(1, config.irls_max_iter + 1):
-        z = update_z(graph, u, spec, config.eps)
+        z = update_z(graph, u, spec)
         solve: dict = {}
         # Anderson mixes the differences g - u of exact solves, and its tv
         # systems are stiff (at n=10k, λ=438 Jacobi CG needs 176 iterations
@@ -341,7 +347,7 @@ def irls_minimize(
         # each system at once.
         cg_rtol = forcing_tol(config.cg_tol, decrease)
         g = solve_u(
-            graph, f, z, config.lam, config.eps,
+            graph, f, z, config.lam,
             cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern, cg_rtol=cg_rtol, factor=accelerate,
         )
         run["cg_iters"] += solve["cg_iters"]
@@ -357,13 +363,13 @@ def irls_minimize(
             pattern = SystemPattern(graph, perm=solve["perm_c"])
         if not np.all(np.isfinite(g)):
             raise SolverError(f"non-finite iterate at IRLS iteration {it}")
-        e = objective_sec6(graph, g, f, spec, config.lam, config.eps)
+        e = objective_sec6(graph, g, f, spec, config.lam)
         if accelerate:
             history = [*history[-ANDERSON_DEPTH:], (g, g - u)]
         u = g
         mixed = _anderson_step(history) if len(history) > 1 else None
         if mixed is not None:
-            e_mixed = objective_sec6(graph, mixed, f, spec, config.lam, config.eps)
+            e_mixed = objective_sec6(graph, mixed, f, spec, config.lam)
             if e_mixed.total < e.total:
                 u, e = mixed, e_mixed
                 run["accelerated"] += 1
@@ -393,4 +399,5 @@ def detect_edges(graph: SparseGraph, u, jump_threshold: float) -> list[tuple[int
     if graph.n_edges == 0:
         return []
     mask = np.abs(u[graph.ii] - u[graph.jj]) > jump_threshold
-    return sorted(zip(graph.ii[mask].tolist(), graph.jj[mask].tolist()))
+    # the graph keeps its edges sorted by (i, j), so the flagged ones come sorted
+    return list(zip(graph.ii[mask].tolist(), graph.jj[mask].tolist()))

@@ -151,7 +151,7 @@ def test_criterion_03_monotone_descent_and_tangency():
             t = (u[graph.ii] - u[graph.jj]) ** 2 / config.eps
             from gms.solver import update_z
 
-            z = update_z(graph, u, spec, config.eps)
+            z = update_z(graph, u, spec)
             offset = zeta_value(spec, t) - z * t
             for v in (u, u + rng.standard_normal(n) * 0.2):
                 s = (v[graph.ii] - v[graph.jj]) ** 2 / config.eps
@@ -332,7 +332,7 @@ def test_criterion_10_oracle_equivalence():
         for i, j, w in zip(graph.ii, graph.jj, graph.weights):
             naive += 2.0 * zeta_value(spec, (u[i] - u[j]) ** 2 / 0.15) * w
         naive /= 0.15 * n**2
-        assert gms_energy(graph, u, spec, 0.15) == pytest.approx(naive, rel=1e-12)
+        assert gms_energy(graph, u, spec) == pytest.approx(naive, rel=1e-12)
     # 2-node solve vs closed-form 2x2 inversion
     lam, eps = 1.5, 0.2
     pts = np.array([[0.0, 0.0], [0.1, 0.0]])
@@ -343,7 +343,7 @@ def test_criterion_10_oracle_equivalence():
     f = np.array([1.0, -2.0])
     a = 2.0 / (lam * eps**2 * 2) * g.weights[0] * z[0]
     expected = np.linalg.solve(np.array([[1 + a, -a], [-a, 1 + a]]), f)
-    u = solve_u(g, f, z, lam, eps, cg_tol=1e-12)
+    u = solve_u(g, f, z, lam, cg_tol=1e-12)
     ok = bool(np.allclose(u, expected, atol=1e-10))
     report(10, ok, "graph, energy, and 2-node solve oracles all agree")
     assert ok

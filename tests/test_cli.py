@@ -632,6 +632,31 @@ class TestOutOfRangeConstants:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestLabelsPastTheFloatRange:
+    """Labels of +-1e154 on points 0.01 apart: the squared label differences overflow a float."""
+
+    @pytest.fixture
+    def big_labels(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("x0,x1,f\n" + "".join(f"{0.01 * i:g},0,{(-1) ** i * 1e154:g}\n" for i in range(5)))
+        return path
+
+    @pytest.mark.parametrize("zeta", ["lap", "tv"])
+    def test_non_finite_energy_exit_2(self, big_labels, tmp_path, capsys, zeta):
+        assert run("denoise", "--zeta", zeta, "--input", big_labels, "--out", tmp_path / "u.csv") == 2
+        err = capsys.readouterr().err
+        message = "eps=0.1, sigma=1: the energy's sum over the edges leaves the float range (largest |f| = 1e+154)"
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [big_labels]
+
+    # scipy's cg and solve_u's residual check form |f|^2, which overflows for these labels
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    def test_saturated_ms_energy_is_finite(self, big_labels, tmp_path, capsys):
+        # arctan saturates at an infinite argument, so each jump edge adds a finite term
+        assert run("denoise", "--zeta", "ms", "--input", big_labels, "--out", tmp_path / "u.csv") == 0
+        assert "energy[sec6] fidelity=0 regularizer=2356.81795 total=2356.81795" in capsys.readouterr().out
+
+
 # (argv before the drawn flag, output name, the command's float flags);
 # denoise reads the 5-point cloud, the others draw their own input
 _CONTRACT_COMMANDS = [
@@ -862,12 +887,27 @@ class TestGamma:
         header, row = out.read_text().splitlines()
         assert float(row.split(",")[header.split(",").index("continuum")]) > 0
 
-    def test_kernel_below_the_first_quadrature_node_exit_2(self, tmp_path, capsys):
+    def test_narrow_kernel_constant_is_the_unit_one_scaled(self, tmp_path):
+        # The quadrature runs on the unit-width kernel, so a kernel narrower than
+        # its first node still has a constant: sigma^(p-q+d) times the unit one.
+        def continuum(sigma):
+            out = tmp_path / f"gamma_{sigma}.csv"
+            assert run("gamma", "--case", "smooth", "--n", "200", "--sigma", sigma, "--out", out) == 0
+            header, row = out.read_text().splitlines()
+            return float(row.split(",")[header.split(",").index("continuum")])
+
+        assert math.isclose(continuum("0.00001"), 0.00001**4 * continuum("1"), rel_tol=1e-15)
+
+    @pytest.mark.parametrize(
+        "case, sigma", [("smooth", "1e-100"), ("smooth", "1e100"), ("step", "1e-120"), ("step", "1e120")]
+    )
+    def test_scaled_constant_out_of_range_exit_2(self, tmp_path, capsys, case, sigma):
+        # sigma^2 is a normal float, but sigma^(p-q+d) (smooth) or sigma^(d+1) (step) is not
         out = tmp_path / "gamma.csv"
-        assert run("gamma", "--case", "smooth", "--n", "200", "--sigma", "0.00001", "--out", out) == 2
+        assert run("gamma", "--case", case, "--n", "50", "--sigma", sigma, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "the quadrature's first node" in err and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
+        assert err.startswith("error: ") and f"sigma={float(sigma):g} puts the kernel constant" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("case, p", [("smooth", "400"), ("step", "600")])
     def test_non_finite_energy_exit_2(self, tmp_path, capsys, case, p):

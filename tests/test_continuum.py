@@ -236,7 +236,7 @@ class TestSampledEnergy:
             cloud = PointCloud(points=pts)
             config = small_config(eps=eps, k_max=n, sigma=1.0)
             g = brute_force_graph(cloud, config)
-            oracle = gms_energy(g, u, ms_spec, eps)
+            oracle = gms_energy(g, u, ms_spec)
             streamed = sampled_energy(pts, u, ms_spec, eps, sigma=1.0)
             assert streamed == pytest.approx(oracle, rel=1e-10)
 
@@ -251,7 +251,7 @@ class TestSampledEnergy:
         config = small_config(eps=0.15, k_max=n)
         g = brute_force_graph(PointCloud(points=pts), config)
         assert sampled_energy(pts, u, ms_spec, 0.15, p=3.0, q=1.0) == pytest.approx(
-            gms_energy(g, u, ms_spec, 0.15, p=3.0, q=1.0), rel=1e-10
+            gms_energy(g, u, ms_spec, p=3.0, q=1.0), rel=1e-10
         )
 
     def test_zero_distance_singularity(self, rng, ms_spec):
@@ -525,7 +525,7 @@ class TestCellPairs:
         u = rng.random(120)
         g = brute_force_graph(PointCloud(points=points), small_config(eps=0.1, k_max=120))
         assert sampled_energy(points, u, ms_spec, 0.1) == pytest.approx(
-            gms_energy(g, u, ms_spec, 0.1), rel=1e-10
+            gms_energy(g, u, ms_spec), rel=1e-10
         )
 
 
@@ -549,7 +549,7 @@ class TestConstantBlockSkip:
         # small chunks split a row's sweep, so a trim can fall inside a chunk
         with patch.object(continuum, "_BLOCK_CANDIDATES", block):
             try:
-                oracle = gms_energy(graph, u, spec, radius, q=q)
+                oracle = gms_energy(graph, u, spec, q=q)
             except SingularityError:
                 with pytest.raises(SingularityError):
                     sampled_energy(points, u, spec, radius, q=q, cutoff_multiplier=1.0)

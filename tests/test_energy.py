@@ -39,7 +39,7 @@ def two_point_graph(dist=0.1, eps=0.2, sigma=1.0):
 class TestGmsEnergy:
     def test_constant_u_zero(self, rng, ms_spec):
         g = brute_force_graph(random_cloud(rng, 40), small_config(eps=0.3))
-        assert gms_energy(g, np.full(40, 3.7), ms_spec, 0.3) == 0.0
+        assert gms_energy(g, np.full(40, 3.7), ms_spec) == 0.0
 
     def test_two_point_hand_formula(self, quad_spec):
         eps = 0.2
@@ -47,7 +47,7 @@ class TestGmsEnergy:
         u = np.array([0.0, 0.5])
         w = g.weights[0]
         expected = (1.0 / (eps * 4)) * 2.0 * (0.25 / eps) * w
-        assert gms_energy(g, u, quad_spec, eps) == pytest.approx(expected, rel=1e-14)
+        assert gms_energy(g, u, quad_spec) == pytest.approx(expected, rel=1e-14)
 
     def test_matches_double_loop_oracle(self, rng):
         for spec in [ZetaSpec("ms_arctan"), ZetaSpec("tv_smoothed", delta=0.01), ZetaSpec("quadratic")]:
@@ -55,7 +55,7 @@ class TestGmsEnergy:
                 n = int(rng.integers(5, 60))
                 g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
                 u = rng.random(n)
-                fast = gms_energy(g, u, spec, 0.3)
+                fast = gms_energy(g, u, spec)
                 slow = naive_energy(g, u, spec, 0.3)
                 assert fast == pytest.approx(slow, rel=1e-12)
 
@@ -64,7 +64,7 @@ class TestGmsEnergy:
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         u = rng.random(n)
         for p, q in [(2.0, 0.0), (2.0, 1.0), (3.0, 1.5)]:
-            assert gms_energy(g, u, ms_spec, 0.3, p, q) == pytest.approx(
+            assert gms_energy(g, u, ms_spec, p=p, q=q) == pytest.approx(
                 naive_energy(g, u, ms_spec, 0.3, p, q), rel=1e-12
             )
 
@@ -72,33 +72,33 @@ class TestGmsEnergy:
         n = 50
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         u = rng.random(n)
-        e0 = gms_energy(g, u, ms_spec, 0.3)
+        e0 = gms_energy(g, u, ms_spec)
         for c in [-5.0, 0.1, 123.0]:
-            assert gms_energy(g, u + c, ms_spec, 0.3) == pytest.approx(e0, rel=1e-12)
+            assert gms_energy(g, u + c, ms_spec) == pytest.approx(e0, rel=1e-12)
 
     def test_saturation_bound(self, rng, ms_spec):
         n = 50
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         u = rng.random(n) * 100  # huge jumps: zeta near its limit 1
         bound = 2.0 * g.weights.sum() / (0.3 * n**2)
-        e = gms_energy(g, u, ms_spec, 0.3)
+        e = gms_energy(g, u, ms_spec)
         assert 0 <= e <= bound
 
     def test_zero_distance_singularity(self, ms_spec):
         cloud = PointCloud(points=[[0.0, 0.0], [0.0, 0.0]])
         g = brute_force_graph(cloud, small_config(eps=0.2))
         with pytest.raises(SingularityError):
-            gms_energy(g, np.array([0.0, 1.0]), ms_spec, 0.2, p=2.0, q=1.0)
+            gms_energy(g, np.array([0.0, 1.0]), ms_spec, p=2.0, q=1.0)
 
     def test_q_ge_p_rejected(self, ms_spec):
         g = two_point_graph()
         with pytest.raises(ValidationError):
-            gms_energy(g, np.zeros(2), ms_spec, 0.2, p=2.0, q=2.0)
+            gms_energy(g, np.zeros(2), ms_spec, p=2.0, q=2.0)
 
     def test_wrong_length_rejected(self, ms_spec):
         g = two_point_graph()
         with pytest.raises(ValidationError):
-            gms_energy(g, np.zeros(3), ms_spec, 0.2)
+            gms_energy(g, np.zeros(3), ms_spec)
 
 
 class TestObjectiveSec6:
@@ -106,14 +106,14 @@ class TestObjectiveSec6:
         n = 30
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         f = rng.random(n)
-        e = objective_sec6(g, f, f, ms_spec, lam=2.0, eps=0.3)
+        e = objective_sec6(g, f, f, ms_spec, lam=2.0)
         assert e.fidelity == 0.0
         assert e.total == e.regularizer
 
     def test_constant_u_and_f_zero_total(self, ms_spec, rng):
         g = brute_force_graph(random_cloud(rng, 20), small_config(eps=0.3))
         u = np.full(20, 0.4)
-        e = objective_sec6(g, u, u, ms_spec, lam=1.0, eps=0.3)
+        e = objective_sec6(g, u, u, ms_spec, lam=1.0)
         assert e.total == 0.0
 
     def test_three_point_path_hand_computation(self, ms_spec):
@@ -124,7 +124,7 @@ class TestObjectiveSec6:
         assert g.weights.tolist() == np.exp(-np.array([0.2, 0.3]) ** 2 / 2.0).tolist()
         u = np.array([0.0, 0.5, 1.0])
         f = np.array([0.1, 0.4, 0.9])
-        e = objective_sec6(g, u, f, ms_spec, lam=1.0, eps=1.0)
+        e = objective_sec6(g, u, f, ms_spec, lam=1.0)
         fid = 0.01 + 0.01 + 0.01
         reg = (2.0 / 3.0) * sum(
             zeta_value(ms_spec, 0.25) * w for w in g.weights
@@ -135,28 +135,28 @@ class TestObjectiveSec6:
     def test_missing_labels(self, ms_spec):
         g = two_point_graph()
         with pytest.raises(ValidationError):
-            objective_sec6(g, np.zeros(2), None, ms_spec, 1.0, 0.2)
+            objective_sec6(g, np.zeros(2), None, ms_spec, 1.0)
 
 
 class TestObjectiveSec1:
     def test_u_equals_f_fidelity_zero(self, rng, ms_spec):
         g = brute_force_graph(random_cloud(rng, 20), small_config(eps=0.3))
         f = rng.random(20)
-        assert objective_sec1(g, f, f, ms_spec, lam=3.0, eps=0.3).fidelity == 0.0
+        assert objective_sec1(g, f, f, ms_spec, lam=3.0).fidelity == 0.0
 
     def test_lambda_zero_reduces_to_gms_energy(self, rng, ms_spec):
         n = 25
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         u, f = rng.random(n), rng.random(n)
-        e = objective_sec1(g, u, f, ms_spec, lam=0.0, eps=0.3)
-        assert e.total == pytest.approx(gms_energy(g, u, ms_spec, 0.3), rel=1e-14)
+        e = objective_sec1(g, u, f, ms_spec, lam=0.0)
+        assert e.total == pytest.approx(gms_energy(g, u, ms_spec), rel=1e-14)
 
     def test_random_instance_matches_oracle(self, rng, ms_spec):
         n = 10
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         u, f = rng.random(n), rng.random(n)
         lam = 2.5
-        e = objective_sec1(g, u, f, ms_spec, lam=lam, eps=0.3)
+        e = objective_sec1(g, u, f, ms_spec, lam=lam)
         expected_fid = lam / n * np.sum((u - f) ** 2)
         assert e.fidelity == pytest.approx(expected_fid, rel=1e-12)
         assert e.regularizer == pytest.approx(naive_energy(g, u, ms_spec, 0.3), rel=1e-12)
@@ -170,8 +170,8 @@ def test_breakdown_total_consistency(seed, c):
     g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
     u, f = rng.random(n) + c, rng.random(n)
     for e in (
-        objective_sec6(g, u, f, ZetaSpec("ms_arctan"), 1.5, 0.3),
-        objective_sec1(g, u, f, ZetaSpec("ms_arctan"), 1.5, 0.3),
+        objective_sec6(g, u, f, ZetaSpec("ms_arctan"), 1.5),
+        objective_sec1(g, u, f, ZetaSpec("ms_arctan"), 1.5),
     ):
         assert e.total == e.fidelity + e.regularizer
         assert e.total >= 0
@@ -213,7 +213,7 @@ def test_determinism_bit_exact(rng, ms_spec):
     n = 200
     g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
     u = rng.random(n)
-    vals = {gms_energy(g, u, ms_spec, 0.3) for _ in range(5)}
+    vals = {gms_energy(g, u, ms_spec) for _ in range(5)}
     assert len(vals) == 1
 
 
@@ -261,7 +261,7 @@ class TestExactSum:
     def test_matches_fsum_on_energy_terms(self, rng):
         g = brute_force_graph(random_cloud(rng, 200), small_config(eps=0.3))
         u, f = rng.random(200), rng.random(200)
-        e = objective_sec6(g, u, f, ZetaSpec("ms_arctan"), 2.0, 0.3)
+        e = objective_sec6(g, u, f, ZetaSpec("ms_arctan"), 2.0)
         terms = zeta_value(ZetaSpec("ms_arctan"), (u[g.ii] - u[g.jj]) ** 2 / 0.3) * g.weights
         assert e.fidelity == math.fsum(((u - f) ** 2).tolist())
         assert e.regularizer == 2.0 * math.fsum(terms.tolist()) / (2.0 * 0.3 * 200)

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from gms.core import PointCloud, SolverConfig, ValidationError, ZetaSpec
 from gms.datasets import generate_synthetic
-from gms.energy import objective_sec6
+from gms.energy import gms_energy, objective_sec1, objective_sec6
 from gms.graph import brute_force_graph, build_geometric_graph
 import gms.solver
 from gms.solver import (
@@ -45,12 +45,12 @@ def surrogate_value(graph, v, f, z, spec, lam, eps, t_anchor):
 class TestUpdateZ:
     def test_constant_u_ms(self, rng, ms_spec):
         g = brute_force_graph(random_cloud(rng, 30), small_config(eps=0.3))
-        z = update_z(g, np.full(30, 2.0), ms_spec, 0.3)
+        z = update_z(g, np.full(30, 2.0), ms_spec)
         assert np.all(z == 1.0)
 
     def test_quadratic_always_one(self, rng, quad_spec):
         g = brute_force_graph(random_cloud(rng, 30), small_config(eps=0.3))
-        z = update_z(g, rng.random(30), quad_spec, 0.3)
+        z = update_z(g, rng.random(30), quad_spec)
         assert np.all(z == 1.0)
 
     def test_half_value(self, ms_spec):
@@ -59,12 +59,12 @@ class TestUpdateZ:
         du = np.sqrt(2.0 * eps / np.pi)
         pts = np.array([[0.0, 0.0], [0.1, 0.0]])
         g = brute_force_graph(PointCloud(points=pts), small_config(eps=eps))
-        z = update_z(g, np.array([0.0, du]), ms_spec, eps)
+        z = update_z(g, np.array([0.0, du]), ms_spec)
         assert z[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_ms_range(self, rng, ms_spec):
         g = brute_force_graph(random_cloud(rng, 50), small_config(eps=0.3))
-        z = update_z(g, rng.random(50) * 10, ms_spec, 0.3)
+        z = update_z(g, rng.random(50) * 10, ms_spec)
         assert np.all((z > 0) & (z <= 1))
 
 
@@ -73,7 +73,7 @@ class TestSystemMatrix:
         n = 60
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         z = rng.random(g.n_edges)
-        A = system_matrix(g, z, lam=2.0, eps=0.3)
+        A = system_matrix(g, z, lam=2.0)
         dense = A.toarray()
         assert np.allclose(dense, dense.T, rtol=1e-10)
         for _ in range(5):
@@ -84,7 +84,7 @@ class TestSystemMatrix:
         g = brute_force_graph(random_cloud(rng, 10), small_config(eps=0.3))
         z = -np.ones(g.n_edges)
         with pytest.raises(ValidationError):
-            system_matrix(g, z, 1.0, 0.3)
+            system_matrix(g, z, 1.0)
 
 
 def reference_matrix(graph, z, lam, eps):
@@ -114,10 +114,10 @@ class TestSystemPattern:
     def test_identity_pattern_matches_reference(self, rng):
         g = brute_force_graph(random_cloud(rng, 80), small_config(eps=0.3))
         z = rng.random(g.n_edges)
-        assert_same_csc(system_matrix(g, z, 2.0, 0.3), reference_matrix(g, z, 2.0, 0.3))
+        assert_same_csc(system_matrix(g, z, 2.0), reference_matrix(g, z, 2.0, 0.3))
         pattern = SystemPattern(g)
         assert pattern.perm is None
-        assert_same_csc(system_matrix(g, z, 2.0, 0.3, pattern), reference_matrix(g, z, 2.0, 0.3))
+        assert_same_csc(system_matrix(g, z, 2.0, pattern=pattern), reference_matrix(g, z, 2.0, 0.3))
 
     def test_permuted_pattern_is_p_a_pt(self, rng):
         n = 80
@@ -127,20 +127,20 @@ class TestSystemPattern:
         # P e_i = e_perm[i], so (P A P^T)[perm[i], perm[j]] = A[i, j]
         P = sp.csr_matrix((np.ones(n), (perm, np.arange(n))), shape=(n, n))
         expected = P @ reference_matrix(g, z, 2.0, 0.3).tocsr() @ P.T
-        B = system_matrix(g, z, 2.0, 0.3, SystemPattern(g, perm=perm))
+        B = system_matrix(g, z, 2.0, pattern=SystemPattern(g, perm=perm))
         assert_same_csc(B, expected)
 
     def test_factored_solve_through_permuted_pattern(self, rng):
         graph, f, spec, config = stiff_tv_case()
-        z = update_z(graph, f, spec, config.eps)
-        direct = spla.spsolve(system_matrix(graph, z, 5.0, config.eps), f)
+        z = update_z(graph, f, spec)
+        direct = spla.spsolve(system_matrix(graph, z, 5.0), f)
         first = {}
-        solve_u(graph, f, z, 5.0, config.eps, stats=first)
+        solve_u(graph, f, z, 5.0, stats=first)
         assert first["factored"] and first["perm_c"].base is None  # holds no reference to the factor
         for perm in (first["perm_c"], rng.permutation(graph.n)):
             stats = {}
             u = solve_u(
-                graph, f, z, 5.0, config.eps, cg_tol=1e-10, stats=stats,
+                graph, f, z, 5.0, cg_tol=1e-10, stats=stats,
                 pattern=SystemPattern(graph, perm=perm),
             )
             assert stats["factored"] and stats["cg_iters"] == 0 and "perm_c" not in stats
@@ -152,13 +152,13 @@ class TestSolveU:
     def test_empty_graph_identity(self, rng):
         g = build_geometric_graph(PointCloud(points=[[0.0, 0.0]]), small_config())
         f = np.array([0.7])
-        assert solve_u(g, f, np.zeros(0), 1.0, 0.1)[0] == 0.7
+        assert solve_u(g, f, np.zeros(0), 1.0)[0] == 0.7
 
     def test_zero_z_identity(self, rng):
         n = 40
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         f = rng.random(n)
-        assert np.array_equal(solve_u(g, f, np.zeros(g.n_edges), 1.0, 0.3), f)
+        assert np.array_equal(solve_u(g, f, np.zeros(g.n_edges), 1.0), f)
 
     def test_two_node_closed_form(self):
         # single edge: A = [[1+c w z, -c w z], [-c w z, 1+c w z]], c = 2/(lam eps^2 n)
@@ -171,7 +171,7 @@ class TestSolveU:
         a = c * g.weights[0] * z[0]
         A = np.array([[1 + a, -a], [-a, 1 + a]])
         expected = np.linalg.solve(A, f)
-        u = solve_u(g, f, z, lam, eps, cg_tol=1e-12)
+        u = solve_u(g, f, z, lam, cg_tol=1e-12)
         assert np.allclose(u, expected, atol=1e-10)
 
     def test_nonconvergence_raises(self, rng):
@@ -181,20 +181,20 @@ class TestSolveU:
         stats = {}
         # Jacobi CG's recursive residual meets the tolerance; the true one does not.
         with pytest.raises(SolverError):
-            solve_u(g, f, np.ones(g.n_edges), 1000.0, 0.3, cg_tol=1e-300, stats=stats)
+            solve_u(g, f, np.ones(g.n_edges), 1000.0, cg_tol=1e-300, stats=stats)
         assert not stats["factored"]
         # The budget runs out, and the factored solve cannot meet it either.
         graph, f, spec, config = stiff_tv_case()
-        z = update_z(graph, f, spec, config.eps)
+        z = update_z(graph, f, spec)
         with pytest.raises(SolverError):
-            solve_u(graph, f, z, 5.0, config.eps, cg_tol=1e-300, stats=stats)
+            solve_u(graph, f, z, 5.0, cg_tol=1e-300, stats=stats)
         assert stats["cg_iters"] == CG_BUDGET and stats["factored"]
 
     def test_cg_iter_stats(self, rng):
         n = 40
         g = brute_force_graph(random_cloud(rng, n), small_config(eps=0.3))
         stats = {}
-        solve_u(g, rng.random(n), np.ones(g.n_edges), 2.0, 0.3, stats=stats)
+        solve_u(g, rng.random(n), np.ones(g.n_edges), 2.0, stats=stats)
         assert stats["cg_iters"] >= 1
 
 
@@ -213,24 +213,24 @@ class TestFactoredSolve:
     @pytest.fixture
     def stiff_system(self):
         graph, f, spec, config = stiff_tv_case()
-        z = update_z(graph, f, spec, config.eps)
-        return graph, f, z, 5.0, config.eps
+        z = update_z(graph, f, spec)
+        return graph, f, z, 5.0
 
     def test_matches_direct_solve(self, stiff_system):
-        graph, f, z, lam, eps = stiff_system
+        graph, f, z, lam = stiff_system
         stats = {}
-        u = solve_u(graph, f, z, lam, eps, cg_tol=1e-10, stats=stats)
+        u = solve_u(graph, f, z, lam, cg_tol=1e-10, stats=stats)
         assert stats["factored"]
-        direct = spla.spsolve(system_matrix(graph, z, lam, eps).tocsc(), f)
+        direct = spla.spsolve(system_matrix(graph, z, lam).tocsc(), f)
         assert np.linalg.norm(u - direct) <= 1e-10 * np.linalg.norm(direct)
 
     def test_cg_iters_count_jacobi_only(self, stiff_system):
-        graph, f, z, lam, eps = stiff_system
+        graph, f, z, lam = stiff_system
         stats = {}
-        solve_u(graph, f, z, lam, eps, stats=stats)
+        solve_u(graph, f, z, lam, stats=stats)
         assert stats["factored"] and stats["cg_iters"] == CG_BUDGET
         permuted = {}
-        solve_u(graph, f, z, lam, eps, stats=permuted, pattern=SystemPattern(graph, perm=stats["perm_c"]))
+        solve_u(graph, f, z, lam, stats=permuted, pattern=SystemPattern(graph, perm=stats["perm_c"]))
         assert permuted["factored"] and permuted["cg_iters"] == 0
 
     def test_irls_reruns_bit_identical(self):
@@ -245,11 +245,11 @@ class TestFactoredSolve:
         assert all(entry["cg_iters"] == 0 and entry["cg_tol"] == config.cg_tol for entry in a.energy_trace[1:])
 
     def test_tuned_factor_same_fill_and_solution(self, stiff_system):
-        graph, f, z, lam, eps = stiff_system
+        graph, f, z, lam = stiff_system
         stats = {}
-        u = solve_u(graph, f, z, lam, eps, cg_tol=1e-10, stats=stats, factor=True)
+        u = solve_u(graph, f, z, lam, cg_tol=1e-10, stats=stats, factor=True)
         assert stats["factored"] and stats["cg_iters"] == 0
-        A = system_matrix(graph, z, lam, eps)
+        A = system_matrix(graph, z, lam)
         default = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         assert stats["factor_nnz"] == default.nnz
         direct = spla.spsolve(A, f)
@@ -260,9 +260,9 @@ class TestFactoredSolve:
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(spla, "splu", singular)
-        graph, f, z, lam, eps = stiff_system
+        graph, f, z, lam = stiff_system
         with pytest.raises(SolverError, match="Factor is exactly singular"):
-            solve_u(graph, f, z, lam, eps, factor=True)
+            solve_u(graph, f, z, lam, factor=True)
 
 
 class TestSystemConstant:
@@ -273,13 +273,13 @@ class TestSystemConstant:
         g = brute_force_graph(random_cloud(rng, 10), small_config(eps=0.3))
         f = rng.random(10)
         with pytest.raises(ValidationError, match="lambda=.* is too small"):
-            system_matrix(g, np.ones(g.n_edges), lam, 0.3)
+            system_matrix(g, np.ones(g.n_edges), lam)
         with pytest.raises(ValidationError, match="lambda=.* is too small"):
             irls_minimize(g, f, ZetaSpec("ms_arctan"), small_config(lam=lam, eps=0.3))
 
     def test_smallest_finite_constant_accepted(self, rng):
         g = brute_force_graph(random_cloud(rng, 10), small_config(eps=0.3))
-        assert system_matrix(g, np.zeros(g.n_edges), 1e-300, 0.3).shape == (10, 10)
+        assert system_matrix(g, np.zeros(g.n_edges), 1e-300).shape == (10, 10)
 
 
 class TestOneOrderingPerRun:
@@ -342,7 +342,7 @@ class TestIrls:
         # solves the problem and the run stops there
         assert sol.converged and sol.iterations == 1 and len(sol.energy_trace) == 2
         z = np.ones(g.n_edges)
-        A = system_matrix(g, z, config.lam, config.eps).toarray()
+        A = system_matrix(g, z, config.lam).toarray()
         np.testing.assert_allclose(sol.u, np.linalg.solve(A, f), rtol=1e-10, atol=1e-12)
 
     def test_monotone_descent_and_tangency(self, rng):
@@ -363,14 +363,14 @@ class TestIrls:
             # the current u and dominates it at random perturbations
             u = sol.u
             t_anchor = (u[g.ii] - u[g.jj]) ** 2 / config.eps
-            z = update_z(g, u, spec, config.eps)
-            e_true = objective_sec6(g, u, f, spec, config.lam, config.eps).total
+            z = update_z(g, u, spec)
+            e_true = objective_sec6(g, u, f, spec, config.lam).total
             q_at_u = surrogate_value(g, u, f, z, spec, config.lam, config.eps, t_anchor)
             assert q_at_u == pytest.approx(e_true, rel=1e-10, abs=1e-12)
             for _ in range(5):
                 v = u + rng.standard_normal(n) * 0.3
                 q_v = surrogate_value(g, v, f, z, spec, config.lam, config.eps, t_anchor)
-                e_v = objective_sec6(g, v, f, spec, config.lam, config.eps).total
+                e_v = objective_sec6(g, v, f, spec, config.lam).total
                 assert q_v >= e_v - 1e-10 * max(abs(e_v), 1.0)
 
     def test_maximum_principle(self, rng, ms_spec):
@@ -407,7 +407,7 @@ class TestIrls:
         totals = [t["total"] for t in sol.energy_trace]
         # the run stops at the worse iterate and returns it
         assert sol.iterations == len(calls) == 3 and totals[3] > totals[2] and not sol.converged
-        assert totals[3] == objective_sec6(g, sol.u, f, ms_spec, config.lam, config.eps).total
+        assert totals[3] == objective_sec6(g, sol.u, f, ms_spec, config.lam).total
 
     def test_trace_schema(self, rng, ms_spec):
         g = brute_force_graph(random_cloud(rng, 30), small_config(eps=0.3))
@@ -424,7 +424,7 @@ def plain_irls(graph, f, spec, config):
     pattern = SystemPattern(graph)
 
     def entry(it, cg_iters, cg_tol):
-        e = objective_sec6(graph, u, f, spec, config.lam, config.eps)
+        e = objective_sec6(graph, u, f, spec, config.lam)
         return {
             "iter": it, "fidelity": e.fidelity, "regularizer": e.regularizer, "total": e.total,
             "cg_iters": cg_iters, "cg_tol": cg_tol,
@@ -434,11 +434,11 @@ def plain_irls(graph, f, spec, config):
     factorizations = 0
     decrease = None
     for it in range(1, config.irls_max_iter + 1):
-        z = update_z(graph, u, spec, config.eps)
+        z = update_z(graph, u, spec)
         solve = {}
         cg_rtol = forcing_tol(config.cg_tol, decrease)
         u = solve_u(
-            graph, f, z, config.lam, config.eps, cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern,
+            graph, f, z, config.lam, cg_tol=config.cg_tol, x0=u, stats=solve, pattern=pattern,
             cg_rtol=cg_rtol,
         )
         factorizations += solve["factored"]
@@ -552,17 +552,17 @@ class TestForcing:
 
     def test_factored_check_keeps_cg_tol(self):
         graph, f, spec, config = stiff_tv_case()
-        z = update_z(graph, f, spec, config.eps)
+        z = update_z(graph, f, spec)
         first = {}
-        solve_u(graph, f, z, 5.0, config.eps, stats=first)
+        solve_u(graph, f, z, 5.0, stats=first)
         pattern = SystemPattern(graph, perm=first["perm_c"])
         # a loose CG tolerance does not loosen the factored solve's check
         with pytest.raises(SolverError):
-            solve_u(graph, f, z, 5.0, config.eps, cg_tol=1e-300, cg_rtol=1e-3, pattern=pattern)
+            solve_u(graph, f, z, 5.0, cg_tol=1e-300, cg_rtol=1e-3, pattern=pattern)
         # an unfactored solve is checked against the tolerance it was asked for
         stats = {}
-        u = solve_u(graph, f, z, 5.0, config.eps, cg_rtol=1e-3, stats=stats)
-        A = system_matrix(graph, z, 5.0, config.eps)
+        u = solve_u(graph, f, z, 5.0, cg_rtol=1e-3, stats=stats)
+        A = system_matrix(graph, z, 5.0)
         residual = np.linalg.norm(A @ u - f) / np.linalg.norm(f)
         assert not stats["factored"] and 10 * 1e-8 < residual <= 1e-3
 
@@ -597,13 +597,13 @@ class TestTwoClusterToy:
         graph, f, config = self._instance()
         spec = ZetaSpec("ms_arctan")
         sol = irls_minimize(graph, f, spec, config)
-        e_irls = objective_sec6(graph, sol.u, f, spec, config.lam, config.eps).total
+        e_irls = objective_sec6(graph, sol.u, f, spec, config.lam).total
         best_energy, best_jump = np.inf, None
         grid = np.linspace(-0.2, 1.2, 71)
         for a in grid:
             for b in grid:
                 u = np.concatenate([np.full(10, a), np.full(10, b)])
-                e = objective_sec6(graph, u, f, spec, config.lam, config.eps).total
+                e = objective_sec6(graph, u, f, spec, config.lam).total
                 if e < best_energy:
                     best_energy, best_jump = e, abs(b - a)
         assert best_jump > 0.9  # the best two-plateau candidate is jumpy
@@ -638,14 +638,33 @@ class TestDetectEdges:
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda g, v: update_z(g, v, ZetaSpec("ms_arctan"), 0.3), "u must have length 10"),
-        (lambda g, v: solve_u(g, v, np.ones(g.n_edges), 1.0, 0.3), "f must have length 10"),
+        (lambda g, v: update_z(g, v, ZetaSpec("ms_arctan")), "u must have length 10"),
+        (lambda g, v: solve_u(g, v, np.ones(g.n_edges), 1.0), "f must have length 10"),
         (lambda g, v: irls_minimize(g, v, ZetaSpec("ms_arctan"), small_config(eps=0.3)), "f must have length 10"),
         (lambda g, v: detect_edges(g, v, 0.1), "u must have length 10"),
-        (lambda g, v: objective_sec6(g, v, np.zeros(10), ZetaSpec("ms_arctan"), 1.0, 0.3), "u must have length 10"),
+        (lambda g, v: objective_sec6(g, v, np.zeros(10), ZetaSpec("ms_arctan"), 1.0), "u must have length 10"),
+        (lambda g, v: objective_sec6(g, np.zeros(10), v, ZetaSpec("ms_arctan"), 1.0), "f must have length 10"),
     ],
 )
 def test_vertex_array_length_rejected(rng, call, message):
     g = brute_force_graph(random_cloud(rng, 10), small_config(eps=0.3))
     with pytest.raises(ValidationError, match=f"^{message}$"):
         call(g, np.zeros(9))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g, v: update_z(g, v, ZetaSpec("ms_arctan"), 0.3), id="update_z"),
+        pytest.param(lambda g, v: system_matrix(g, np.ones(g.n_edges), 1.0, 0.3), id="system_matrix"),
+        pytest.param(lambda g, v: solve_u(g, v, np.ones(g.n_edges), 1.0, 0.3), id="solve_u"),
+        pytest.param(lambda g, v: gms_energy(g, v, ZetaSpec("ms_arctan"), 0.3), id="gms_energy"),
+        pytest.param(lambda g, v: objective_sec6(g, v, v, ZetaSpec("ms_arctan"), 1.0, 0.3), id="objective_sec6"),
+        pytest.param(lambda g, v: objective_sec1(g, v, v, ZetaSpec("ms_arctan"), 1.0, 0.3), id="objective_sec1"),
+    ],
+)
+def test_trailing_eps_rejected(rng, call):
+    """eps comes from the graph, so a call that still passes it after the required arguments is a TypeError."""
+    g = brute_force_graph(random_cloud(rng, 10), small_config(eps=0.3))
+    with pytest.raises(TypeError):
+        call(g, rng.random(10))
